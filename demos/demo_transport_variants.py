@@ -13,9 +13,9 @@ Run:  python3 demos/demo_transport_variants.py
 import numpy as np
 
 from cdfilter import GaussianBelief, SolverSpec, cholesky_lower, lskf_time_update
-from cdfilter.scenarios import transport_scenario
+from cdfilter.scenarios import TransportScenario
 
-ts = transport_scenario(a=0.5, b=1.0)
+ts = TransportScenario(a=0.5, b=1.0)
 model = ts.sde_model()
 belief0 = GaussianBelief(mean=np.zeros(2), factor=cholesky_lower(ts.sigma0()))
 spec = SolverSpec("fixed-rk4", steps=32)

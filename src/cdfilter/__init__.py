@@ -6,7 +6,7 @@ shared square-root cubature measurement update, and a Monte-Carlo radar
 benchmark harness.
 """
 
-from .cdckf import CdckfVariant, It15Operators, cdckf_time_update, it15_point_predict, lv_matrix
+from .cdckf import CdckfVariant, It15Operators, cdckf_time_update, it15_point_predict
 from .errors import (
     AllTrialsDivergent,
     AtStationSingularity,
@@ -28,13 +28,13 @@ from .ode import OdeProblem, SolverSpec, SolveStats, integrate, order_of_accurac
 from .scenarios import (
     RadarScenario,
     Trajectory,
+    TransportScenario,
     coordinated_turn_drift,
     linear_fp_scenario,
     make_trial,
     oscillator_scenario,
     radar_measure,
     simulate_truth,
-    transport_scenario,
 )
 
 __version__ = "0.1.0"

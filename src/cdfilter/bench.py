@@ -1,5 +1,6 @@
 """Monte-Carlo benchmark harness for the radar tracking problem, plus the
-two moment-convergence studies.
+two moment-convergence studies and the Appendix-A variant comparison.
+``make_advance`` is the one map from a filter id to its time-update.
 
 Trials are deterministic: trial ``i`` always uses seed ``base_seed + i``,
 so results are independent of execution order and of how many workers run
@@ -12,21 +13,22 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cdckf import CdckfVariant, It15Operators, cdckf_time_update
 from .errors import AllTrialsDivergent, CdFilterError
-from .lskf import lskf_time_update
+from .lskf import VARIANTS, lskf_time_update
 from .measurement import measurement_update
 from .models import GaussianBelief, SdeModel
 from .ode import SolverSpec
-from .scenarios import RadarScenario, linear_fp_scenario, make_trial, oscillator_scenario
+from .scenarios import (RadarScenario, TransportScenario, linear_fp_scenario,
+                        make_trial, oscillator_scenario)
 from .linalg import cholesky_lower, lyapunov_oracle
 
-FILTER_IDS = ("lskf-rk2", "lskf-rk4", "lskf-adaptive", "cdckf", "cdckf-proper")
+FILTER_IDS = ("lskf-rk1", "lskf-rk2", "lskf-rk4", "lskf-adaptive", "cdckf",
+              "cdckf-proper")
 
 _POS = (0, 2, 4)
 _VEL = (1, 3, 5)
@@ -53,9 +55,11 @@ class BenchConfig:
             raise ValueError("trials must be >= 1")
         if self.divergence_threshold <= 0:
             raise ValueError("divergence threshold must be positive")
+        # make_advance rejects an unknown filter id or variant and m < 1
+        model = RadarScenario().sde_model()
         for f in self.filters:
-            if f not in FILTER_IDS:
-                raise ValueError(f"unknown filter {f!r}")
+            for m in self.m_values:
+                make_advance(f, model, m, self.variant)
 
     def scenario(self, omega_deg: float, interval: float) -> RadarScenario:
         return RadarScenario(omega0_deg=omega_deg, interval=interval,
@@ -91,38 +95,44 @@ def _counting_model(model: SdeModel):
     return replace(model, drift=counted), counter
 
 
-def _filter_loop(filter_id, m, config, scenario, model, mm, traj, belief):
+def make_advance(filter_id: str, model: SdeModel, m: int,
+                 variant: str = "averaged", abs_tol: float = 1e-8,
+                 rel_tol: float = 1e-8):
+    """The time-update of one filter id, as ``advance(belief, t1)``.
+
+    ``m`` is the number of fixed steps for ``lskf-rk*`` and the number of
+    cubature substeps for ``cdckf*``; ``lskf-adaptive`` needs no
+    subdivision between measurements and ignores it.  Every id rejects
+    ``m < 1``.  ``variant`` is the level-set center-velocity mode.
+    """
+    if filter_id not in FILTER_IDS:
+        raise ValueError(f"unknown filter {filter_id!r}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if filter_id.startswith("cdckf"):
+        mode = "paper-faithful" if filter_id == "cdckf" else "proper-it15"
+        cdckf_variant = CdckfVariant(mode, m)
+        ops = It15Operators(model)
+        return lambda b, t1: cdckf_time_update(b, model, cdckf_variant, t1, ops)
+    if filter_id == "lskf-adaptive":
+        spec = SolverSpec("adaptive-embedded", abs_tol=abs_tol, rel_tol=rel_tol)
+    else:
+        spec = SolverSpec("fixed-" + filter_id.removeprefix("lskf-"), steps=m)
+    return lambda b, t1: lskf_time_update(b, model, variant, t1, spec)
+
+
+def _filter_loop(advance, mm, traj, belief, threshold):
     """Alternating time-update / measurement-update over one trajectory.
 
     Returns per-measurement squared errors; raises CdFilterError on
     numerical failure (recorded as divergence by the caller).
     """
-    threshold = config.divergence_threshold
     n = len(traj.times)
     sq_pos = np.zeros(n)
     sq_vel = np.zeros(n)
     sq_turn = np.zeros(n)
-    if filter_id in ("cdckf", "cdckf-proper"):
-        mode = "paper-faithful" if filter_id == "cdckf" else "proper-it15"
-        variant = CdckfVariant(mode, m)
-        ops = It15Operators(model)
-        def advance(b, t1):
-            return cdckf_time_update(b, model, variant, t1, ops)
-    elif filter_id == "lskf-adaptive":
-        spec = SolverSpec("adaptive-embedded", abs_tol=config.abs_tol,
-                          rel_tol=config.rel_tol)
-        def advance(b, t1):
-            # pre-splitting into m pieces must not change the result
-            edges = np.linspace(b.time, t1, m + 1)
-            for te in edges[1:]:
-                b = lskf_time_update(b, model, config.variant, te, spec)
-            return b
-    else:
-        kind = "fixed-rk2" if filter_id == "lskf-rk2" else "fixed-rk4"
-        spec = SolverSpec(kind, steps=m)
-        def advance(b, t1):
-            return lskf_time_update(b, model, config.variant, t1, spec)
-
     b = belief
     for k, t_k in enumerate(traj.times):
         b = advance(b, t_k)
@@ -138,18 +148,22 @@ def _filter_loop(filter_id, m, config, scenario, model, mm, traj, belief):
     return sq_pos, sq_vel, sq_turn, False
 
 
-def _run_one(config, filter_id, m, omega_deg, interval, trial_index,
-             trial_data=None):
+def run_trial(config: BenchConfig, filter_id: str, m: int, omega_deg: float,
+              interval: float, trial_index: int, trial_data=None) -> TrialMetrics:
+    """One trial of one filter on one grid cell; ``trial_data`` is the
+    ``make_trial`` output, simulated from the trial's seed when omitted."""
     scenario = config.scenario(omega_deg, interval)
     if trial_data is None:
         trial_data = make_trial(scenario, config.base_seed + trial_index)
     traj, belief = trial_data
     model, counter = _counting_model(scenario.sde_model())
+    advance = make_advance(filter_id, model, m, config.variant,
+                           config.abs_tol, config.rel_tol)
     mm = scenario.measurement_model()
     t0 = time.perf_counter()
     try:
         sq_pos, sq_vel, sq_turn, divergent = _filter_loop(
-            filter_id, m, config, scenario, model, mm, traj, belief)
+            advance, mm, traj, belief, config.divergence_threshold)
     except CdFilterError:
         n = len(traj.times)
         sq_pos = sq_vel = sq_turn = np.zeros(n)
@@ -158,12 +172,6 @@ def _run_one(config, filter_id, m, omega_deg, interval, trial_index,
     return TrialMetrics(sq_pos=sq_pos, sq_vel=sq_vel, sq_turn=sq_turn,
                         divergent=divergent, wall_s=wall,
                         drift_evals=counter["n"])
-
-
-def run_trial(config: BenchConfig, filter_id: str, trial_index: int) -> TrialMetrics:
-    """Run one trial of one filter on the first grid cell of the config."""
-    return _run_one(config, filter_id, config.m_values[0],
-                    config.omega_deg[0], config.intervals[0], trial_index)
 
 
 def rmse(metrics: list, quantity: str) -> float:
@@ -186,7 +194,7 @@ def _trial_worker(args):
     scenario = config.scenario(omega, interval)
     trial_data = make_trial(scenario, config.base_seed + trial_index)
     return [
-        _run_one(config, f, m, omega, interval, trial_index, trial_data)
+        run_trial(config, f, m, omega, interval, trial_index, trial_data)
         for (f, m) in cells
     ]
 
@@ -253,46 +261,30 @@ def _metadata(config: BenchConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# moment-convergence studies
+# moment-convergence studies and the Appendix-A variant comparison
 # ---------------------------------------------------------------------------
 
 def convergence_study(problem: str, methods, step_counts):
     """Error of each time-update method versus the Lyapunov oracle.
 
-    ``problem`` is ``linear-fp`` or ``oscillator``.  Returns one row per
-    (method, steps): dt, mean-error L2 norm, covariance-error Frobenius.
+    ``problem`` is ``linear-fp`` or ``oscillator``; ``methods`` are filter
+    ids.  Returns one row per (method, steps): dt, mean-error L2 norm,
+    covariance-error Frobenius.
     """
-    if problem == "linear-fp":
-        sc = linear_fp_scenario()
-    elif problem == "oscillator":
-        sc = oscillator_scenario()
-    else:
+    problems = {"linear-fp": linear_fp_scenario, "oscillator": oscillator_scenario}
+    if problem not in problems:
         raise ValueError(f"unknown problem {problem!r}")
+    sc = problems[problem]()
     ref_mean, ref_cov = lyapunov_oracle(sc.system, sc.mean0, sc.sigma0,
                                         sc.t_end, 1e-13)
     model = sc.sde_model()
     belief0 = GaussianBelief(mean=sc.mean0, factor=cholesky_lower(sc.sigma0))
-    ops = It15Operators(model)
     rows = []
     for method in methods:
         for m in step_counts:
             m = int(m)
-            if method.startswith("lskf-rk"):
-                kind = {"lskf-rk1": "fixed-rk1", "lskf-rk2": "fixed-rk2",
-                        "lskf-rk4": "fixed-rk4"}[method]
-                b = lskf_time_update(belief0, model, "averaged", sc.t_end,
-                                     SolverSpec(kind, steps=m))
-            elif method == "lskf-adaptive":
-                tol = 1e-10
-                b = lskf_time_update(belief0, model, "averaged", sc.t_end,
-                                     SolverSpec("adaptive-embedded",
-                                                abs_tol=tol, rel_tol=tol))
-            elif method in ("cdckf", "cdckf-proper"):
-                mode = "paper-faithful" if method == "cdckf" else "proper-it15"
-                b = cdckf_time_update(belief0, model, CdckfVariant(mode, m),
-                                      sc.t_end, ops)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            advance = make_advance(method, model, m, abs_tol=1e-10, rel_tol=1e-10)
+            b = advance(belief0, sc.t_end)
             rows.append({
                 "method": method,
                 "steps": m,
@@ -301,3 +293,28 @@ def convergence_study(problem: str, methods, step_counts):
                 "err_cov_fro": float(np.linalg.norm(b.covariance() - ref_cov)),
             })
     return rows
+
+
+def run_appendix_a(factorizations: int, seed: int, a: float, b: float,
+                   t_end: float):
+    """Compare center-velocity variants over random covariance factors."""
+    ts = TransportScenario(a, b)
+    model = ts.sde_model()
+    base_factor = cholesky_lower(ts.sigma0())
+    rng = np.random.default_rng(seed)
+    spec = SolverSpec("fixed-rk4", steps=32)
+    errors = {v: [] for v in VARIANTS}
+    covs = {v: [] for v in VARIANTS}
+    for _ in range(factorizations):
+        q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
+        belief0 = GaussianBelief(mean=np.zeros(2), factor=base_factor @ q)
+        for v in VARIANTS:
+            b1 = lskf_time_update(belief0, model, v, t_end, spec)
+            errors[v].append(ts.l2_error(b1.mean, b1.covariance(), t_end))
+            covs[v].append(b1.covariance())
+    return [{
+        "variant": v,
+        "factorizations": factorizations,
+        "mean_l2_err": float(np.mean(errors[v])),
+        "cov_entry_std": float(np.mean(np.std(np.array(covs[v]), axis=0))),
+    } for v in VARIANTS]

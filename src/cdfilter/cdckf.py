@@ -117,10 +117,6 @@ def it15_point_predict(x: np.ndarray, t: float, dt: float, ops: It15Operators):
     return x + dt * v + 0.5 * dt * dt * ops.l0(x, t)
 
 
-def lv_matrix(x: np.ndarray, t: float, ops: It15Operators) -> np.ndarray:
-    return ops.lv(x, t)
-
-
 def cdckf_time_update(belief: GaussianBelief, model: SdeModel,
                       variant: CdckfVariant, t1: float,
                       ops: It15Operators | None = None) -> GaussianBelief:

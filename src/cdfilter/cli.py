@@ -8,8 +8,9 @@ alone reproduces the result files bitwise.  Wall-clock timings go to a
 separate ``timing.json`` sidecar so the result files stay deterministic.
 
 Configuration can come from a flat INI-style file (section = subcommand,
-keys = long flag names); explicit flags override file values.  The
-environment variable ``CDFILTER_SEED`` overrides ``--seed``.
+keys = long flag names); explicit flags override file values, and an
+unknown key or an unreadable file is a usage error.  The environment
+variable ``CDFILTER_SEED`` overrides ``--seed``.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -25,15 +26,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bench import BenchConfig, convergence_study, run_grid
-from .linalg import cholesky_lower
-from .lskf import lskf_time_update
-from .models import GaussianBelief
-from .ode import SolverSpec
-from .scenarios import transport_scenario
+from .bench import (BenchConfig, _metadata, convergence_study, run_appendix_a,
+                    run_grid)
 
 RADAR_CSV_COLUMNS = ("filter", "variant", "omega_deg", "interval_s", "m",
                      "trials", "divergent", "rmse_pos_m", "rmse_vel_mps",
@@ -56,24 +51,20 @@ def _write_csv(path: Path, columns, rows):
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def _parse(text: str):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
 def read_csv(path) -> list[dict]:
     """Parse a result CSV back into typed rows (exact round-trip)."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        out = []
-        for raw in reader:
-            row = {}
-            for key, text in raw.items():
-                for cast in (int, float):
-                    try:
-                        row[key] = cast(text)
-                        break
-                    except ValueError:
-                        continue
-                else:
-                    row[key] = text
-            out.append(row)
-    return out
+        return [{key: _parse(text) for key, text in raw.items()}
+                for raw in csv.DictReader(fh)]
 
 
 def _floats(text: str):
@@ -134,71 +125,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Pull defaults from --config before the real parse."""
+def _with_config(parser, argv):
+    """Splice the --config file's section for the chosen subcommand into
+    argv as ``--key=value`` flags right after the subcommand, so argparse
+    casts the values and rejects unknown keys, and later explicit flags
+    win."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config", default=None)
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
-        return
+    known, rest = probe.parse_known_args(argv)
+    if not known.config or not rest or rest[0] not in _COMMANDS:
+        return argv
+    command = rest[0]
     ini = configparser.ConfigParser()
-    with open(known.config) as fh:
-        ini.read_file(fh)
-    for action in parser._subparsers._group_actions[0].choices.items():
-        name, sp = action
-        if ini.has_section(name):
-            overrides = {}
-            for key, value in ini.items(name):
-                dest = key.replace("-", "_")
-                for act in sp._actions:
-                    if act.dest == dest:
-                        caster = act.type or str
-                        overrides[dest] = caster(value)
-            sp.set_defaults(**overrides)
+    try:
+        with open(known.config) as fh:
+            ini.read_file(fh)
+        items = ini.items(command) if ini.has_section(command) else []
+    except (OSError, configparser.Error) as exc:
+        parser.error(f"cannot read config file {known.config}: {exc}")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in items]
+    # the probe consumed exactly the tokens before the subcommand
+    at = len(argv) - len(rest) + 1
+    return argv[:at] + flags + argv[at:]
 
 
-def _manifest(args, command: str, result_files: dict, extra: dict) -> dict:
+def _start_run(args, command: str, table: str, decisions: dict) -> Path:
+    """Create the output directory and write the manifest into it, before
+    any result file; returns the directory."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     settings = {k: v for k, v in vars(args).items()
                 if k not in ("command", "config")}
-    return {
+    manifest = {
         "tool": "cdfilter",
         "version": __version__,
         "command": command,
         "settings": settings,
-        "result_files": result_files,
-        "decisions": extra,
+        "result_files": {"table": table},
+        "decisions": decisions,
     }
-
-
-class _Json(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, tuple):
-            return list(o)
-        return super().default(o)
-
-
-def _write_manifest(out: Path, manifest: dict):
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, cls=_Json)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return out
 
 
 def cmd_convergence(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     fname = f"convergence_{args.problem}.csv"
-    _write_manifest(out, _manifest(args, "convergence", {"table": fname}, {
+    out = _start_run(args, "convergence", fname, {
         "reference": "adaptive Lyapunov integration at tolerance 1e-13",
         "lskf_variant": "averaged",
-    }))
+    })
     rows = convergence_study(args.problem, args.methods, args.steps)
     _write_csv(out / fname, CONV_CSV_COLUMNS, rows)
     return 0
 
 
 def cmd_radar(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed = int(os.environ.get("CDFILTER_SEED", args.seed))
     config = BenchConfig(
         omega_deg=args.omega_deg,
@@ -212,10 +195,8 @@ def cmd_radar(args) -> int:
         rel_tol=args.tol_rel,
         sigma2=args.sigma2,
     )
-    from .bench import _metadata
-
-    _write_manifest(out, _manifest(args, "radar", {"table": "radar.csv"},
-                                   dict(_metadata(config), seed=seed)))
+    out = _start_run(args, "radar", "radar.csv",
+                     dict(_metadata(config), seed=seed))
     t0 = time.perf_counter()
     report = run_grid(config, jobs=args.jobs)
     _write_csv(out / "radar.csv", RADAR_CSV_COLUMNS, report.rows)
@@ -232,42 +213,11 @@ def cmd_radar(args) -> int:
     return 0
 
 
-def run_appendix_a(factorizations: int, seed: int, a: float, b: float,
-                   t_end: float):
-    """Compare center-velocity variants over random covariance factors."""
-    ts = transport_scenario(a, b)
-    model = ts.sde_model()
-    base_factor = cholesky_lower(ts.sigma0())
-    rng = np.random.default_rng(seed)
-    spec = SolverSpec("fixed-rk4", steps=32)
-    variants = ("standard", "averaged", "partial")
-    errors = {v: [] for v in variants}
-    covs = {v: [] for v in variants}
-    for _ in range(factorizations):
-        q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
-        belief0 = GaussianBelief(mean=np.zeros(2), factor=base_factor @ q)
-        for v in variants:
-            b1 = lskf_time_update(belief0, model, v, t_end, spec)
-            errors[v].append(ts.l2_error(b1.mean, b1.covariance(), t_end))
-            covs[v].append(b1.covariance())
-    rows = []
-    for v in variants:
-        rows.append({
-            "variant": v,
-            "factorizations": factorizations,
-            "mean_l2_err": float(np.mean(errors[v])),
-            "cov_entry_std": float(np.mean(np.std(np.array(covs[v]), axis=0))),
-        })
-    return rows
-
-
 def cmd_appendix_a(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out, _manifest(args, "appendix-a", {"table": "appendix_a.csv"}, {
+    out = _start_run(args, "appendix-a", "appendix_a.csv", {
         "flow": "v(x, y) = (0, x^2), volume-preserving characteristics oracle",
         "error_metric": "grid L2 distance between estimate density and exact pushforward",
-    }))
+    })
     rows = run_appendix_a(args.factorizations, args.seed, args.a, args.b,
                           args.t_end)
     _write_csv(out / "appendix_a.csv", APPA_CSV_COLUMNS, rows)
@@ -298,8 +248,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

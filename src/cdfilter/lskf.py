@@ -16,11 +16,8 @@ For a linear drift all three are identical and the update is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from .errors import CdFilterError
 from .linalg import solve_transpose
 from .models import GaussianBelief, SdeModel
 from .ode import OdeProblem, SolverSpec, integrate
@@ -104,10 +101,6 @@ def lskf_time_update(belief: GaussianBelief, model: SdeModel, variant: str,
 
     problem = OdeProblem(dim=d * (d + 1), rhs=rhs, t0=belief.time, t1=t1,
                          y0=pack_state(belief.mean, belief.factor))
-    try:
-        y1, _ = integrate(problem, spec)
-    except CdFilterError as err:
-        err.belief = belief
-        raise
+    y1, _ = integrate(problem, spec)
     mean, factor = unpack_state(y1, d)
     return GaussianBelief(mean=mean, factor=factor, time=t1)

@@ -133,7 +133,9 @@ class Trajectory:
     measurements: np.ndarray   # noisy radar readings, shape (n, 3)
 
 
-def _simulate_truth(scenario: RadarScenario, rng: np.random.Generator) -> Trajectory:
+def simulate_truth(scenario: RadarScenario, rng_seed: int) -> Trajectory:
+    """Deterministic truth + measurement simulation for one trial."""
+    rng = np.random.default_rng(rng_seed)
     model = scenario.sde_model()
     mm = scenario.measurement_model()
     sqrt_k_diag = np.diag(model.diffusion_factor)
@@ -156,11 +158,6 @@ def _simulate_truth(scenario: RadarScenario, rng: np.random.Generator) -> Trajec
     return Trajectory(times=times, truth_states=states, measurements=meas)
 
 
-def simulate_truth(scenario: RadarScenario, rng_seed: int) -> Trajectory:
-    """Deterministic truth + measurement simulation for one trial."""
-    return _simulate_truth(scenario, np.random.default_rng(rng_seed))
-
-
 def make_trial(scenario: RadarScenario, rng_seed: int):
     """Simulate one trial and build the filter's initial belief.
 
@@ -171,19 +168,20 @@ def make_trial(scenario: RadarScenario, rng_seed: int):
     dominates every aggregate with that transient.)
     Returns ``(Trajectory, initial_belief)``.
     """
-    rng = np.random.default_rng(rng_seed)
-    traj = _simulate_truth(scenario, rng)
+    traj = simulate_truth(scenario, rng_seed)
     factor0 = cholesky_lower(scenario.initial_covariance())
     return traj, GaussianBelief(mean=scenario.initial_state(), factor=factor0,
                                 time=0.0)
 
 
 # ---------------------------------------------------------------------------
-# linear moment-propagation benchmark (2-d, nilpotent drift)
+# linear moment-propagation benchmarks with a Lyapunov oracle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearFpScenario:
+class LinearScenario:
+    """A linear SDE, its Gaussian initial belief and the final time."""
+
     system: LinearSystem
     mean0: np.ndarray
     sigma0: np.ndarray
@@ -193,43 +191,29 @@ class LinearFpScenario:
         return self.system.as_sde()
 
 
-def linear_fp_scenario() -> LinearFpScenario:
-    """2-d linear benchmark.  The source problem states its diffusion term
-    without the 1/2 factor our process-noise convention carries, so the
-    effective K fed to the filters is twice the printed matrix; the
-    Lyapunov oracle confirms this reading (see tests)."""
+def linear_fp_scenario() -> LinearScenario:
+    """2-d linear benchmark with a nilpotent drift.  The source problem
+    states its diffusion term without the 1/2 factor our process-noise
+    convention carries, so the effective K fed to the filters is twice the
+    printed matrix; the Lyapunov oracle confirms this reading (see tests)."""
     J = np.array([[0.0, 0.1], [0.0, 0.0]])
     K_eff = 2.0 * np.array([[0.5, 0.25], [0.25, 1.5]])
-    return LinearFpScenario(system=LinearSystem(J=J, K=K_eff),
-                            mean0=np.zeros(2),
-                            sigma0=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                            t_end=10.0)
+    return LinearScenario(system=LinearSystem(J=J, K=K_eff),
+                          mean0=np.zeros(2),
+                          sigma0=np.array([[2.0, 1.0], [1.0, 2.0]]),
+                          t_end=10.0)
 
 
-# ---------------------------------------------------------------------------
-# noisy harmonic oscillator (3-d linear)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OscillatorScenario:
-    system: LinearSystem
-    mean0: np.ndarray
-    sigma0: np.ndarray
-    t_end: float
-
-    def sde_model(self) -> SdeModel:
-        return self.system.as_sde()
-
-
-def oscillator_scenario() -> OscillatorScenario:
+def oscillator_scenario() -> LinearScenario:
+    """Noisy 3-d harmonic oscillator."""
     J = np.array([[0.0, 1.0, 0.0],
                   [0.0, 0.0, 1.0],
                   [-1.0, 0.0, 0.0]])
     K = np.diag([0.01**2, 0.01**2, 0.02**2])
-    return OscillatorScenario(system=LinearSystem(J=J, K=K),
-                              mean0=np.array([1.0, 0.0, 0.0]),
-                              sigma0=np.diag([0.01**2, 0.01**2, 0.03**2]),
-                              t_end=0.2)
+    return LinearScenario(system=LinearSystem(J=J, K=K),
+                          mean0=np.array([1.0, 0.0, 0.0]),
+                          sigma0=np.diag([0.01**2, 0.01**2, 0.03**2]),
+                          t_end=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +280,3 @@ class TransportScenario:
         diff = self.gaussian_density(mean, cov, xg, yg) - self.exact_density(xg, yg, t)
         da = (xs[1] - xs[0]) * (ys[1] - ys[0])
         return float(math.sqrt(np.sum(diff**2) * da))
-
-
-def transport_scenario(a: float, b: float) -> TransportScenario:
-    return TransportScenario(a=a, b=b)

@@ -27,8 +27,7 @@ from cdfilter import (
     measurement_update,
     order_of_accuracy,
 )
-from cdfilter.bench import BenchConfig, run_grid
-from cdfilter.cli import run_appendix_a
+from cdfilter.bench import BenchConfig, run_appendix_a, run_grid
 from cdfilter.models import SdeModel
 from cdfilter.scenarios import linear_fp_scenario, oscillator_scenario
 
@@ -211,7 +210,6 @@ def test_acceptance_6_subdivision_invariance():
     for m in (1, 4, 16):
         cfg = BenchConfig(omega_deg=(6.0,), intervals=(6.0,), m_values=(m,),
                           filters=("lskf-adaptive",), trials=3)
-        from cdfilter.bench import _filter_loop
         from cdfilter.scenarios import make_trial
         per_trial = []
         for i in range(cfg.trials):

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from cdfilter import AllTrialsDivergent
+from cdfilter import AllTrialsDivergent, GaussianBelief, RadarScenario, cholesky_lower
 from cdfilter.bench import (
     FILTER_IDS,
     BenchConfig,
     TrialMetrics,
+    _filter_loop,
     convergence_study,
+    make_advance,
     rmse,
     run_grid,
     run_trial,
 )
+from cdfilter.linalg import lyapunov_oracle
+from cdfilter.scenarios import make_trial, oscillator_scenario, simulate_truth
 
 # a cheap single-cell configuration used by several tests
 _FAST = dict(omega_deg=(6.0,), intervals=(6.0,), m_values=(2,),
@@ -30,10 +34,17 @@ class TestConfig:
             BenchConfig(trials=0)
         with pytest.raises(ValueError):
             BenchConfig(filters=("ekf",))
+        # m = 0 would skip the time-update (adaptive) or fail inside a
+        # worker (cdckf); both are rejected up front
+        for f in ("lskf-adaptive", "cdckf"):
+            with pytest.raises(ValueError):
+                BenchConfig(filters=(f,), m_values=(0,))
+        with pytest.raises(ValueError):
+            BenchConfig(variant="bogus")
 
     def test_known_filter_ids(self):
-        assert set(FILTER_IDS) == {"lskf-rk2", "lskf-rk4", "lskf-adaptive",
-                                   "cdckf", "cdckf-proper"}
+        assert set(FILTER_IDS) == {"lskf-rk1", "lskf-rk2", "lskf-rk4",
+                                   "lskf-adaptive", "cdckf", "cdckf-proper"}
 
 
 class TestRmse:
@@ -68,16 +79,16 @@ class TestRmse:
 class TestRunTrial:
     def test_deterministic(self):
         cfg = BenchConfig(trials=1, **_FAST)
-        a = run_trial(cfg, "cdckf", 0)
-        b = run_trial(cfg, "cdckf", 0)
+        a = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
+        b = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
         np.testing.assert_array_equal(a.sq_pos, b.sq_pos)
         assert a.divergent == b.divergent
-        c = run_trial(cfg, "cdckf", 1)
+        c = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 1)
         assert not np.array_equal(a.sq_pos, c.sq_pos)
 
     def test_reports_drift_eval_count(self):
         cfg = BenchConfig(trials=1, **_FAST)
-        t = run_trial(cfg, "cdckf", 0)
+        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
         # 20 intervals x 2 substeps x 14 cubature points x 2 drift calls
         assert t.drift_evals == 20 * 2 * 14 * 2
 
@@ -88,20 +99,14 @@ class TestRunTrial:
         # collapses to machine zero; past ~10 updates the innovation factor
         # underflows and the documented degenerate-covariance error fires,
         # so the check runs over a 60 s horizon.)
-        from cdfilter import GaussianBelief, RadarScenario
-        from cdfilter.bench import _filter_loop
-        from cdfilter.scenarios import simulate_truth
-
-        cfg = BenchConfig(omega_deg=(0.0,), intervals=(6.0,), m_values=(1,),
-                          filters=("lskf-adaptive",), trials=1)
         sc = RadarScenario(omega0_deg=0.0, sigma1=0.0, sigma2=0.0,
                            sigma_r=0.0, sigma_angle_deg=0.0, horizon=60.0,
                            em_substeps=10)
         traj = simulate_truth(sc, 0)
         belief = GaussianBelief(sc.initial_state(), 1e-4 * np.eye(7))
+        advance = make_advance("lskf-adaptive", sc.sde_model(), 1)
         sq_pos, _, _, divergent = _filter_loop(
-            "lskf-adaptive", 1, cfg, sc, sc.sde_model(),
-            sc.measurement_model(), traj, belief)
+            advance, sc.measurement_model(), traj, belief, 500.0)
         assert not divergent
         assert np.sqrt(sq_pos.max()) <= 1e-3
 
@@ -112,7 +117,7 @@ class TestRunGrid:
         report = run_grid(cfg)
         assert len(report.rows) == 1
         row = report.rows[0]
-        t = run_trial(cfg, "cdckf", 0)
+        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
         np.testing.assert_allclose(row["rmse_pos_m"],
                                    np.sqrt(t.sq_pos.mean()), rtol=1e-12)
         assert row["divergent"] == int(t.divergent)
@@ -167,3 +172,48 @@ class TestConvergenceStudy:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             convergence_study("lorenz", ["lskf-rk2"], [8])
+
+
+class TestMakeAdvance:
+    def test_every_filter_id_advances_a_belief(self):
+        # each time-update moves the oscillator's belief to t_end and
+        # closer to the exact moments than the unpropagated belief
+        sc = oscillator_scenario()
+        model = sc.sde_model()
+        belief0 = GaussianBelief(sc.mean0, cholesky_lower(sc.sigma0))
+        ref_mean, _ = lyapunov_oracle(sc.system, sc.mean0, sc.sigma0,
+                                      sc.t_end, 1e-13)
+        stay = np.linalg.norm(belief0.mean - ref_mean)
+        for filter_id in FILTER_IDS:
+            b = make_advance(filter_id, model, 4)(belief0, sc.t_end)
+            assert b.time == sc.t_end, filter_id
+            assert np.all(np.isfinite(b.factor)), filter_id
+            assert np.linalg.norm(b.mean - ref_mean) < 0.1 * stay, filter_id
+
+    def test_unknown_id_rejected_everywhere(self):
+        model = oscillator_scenario().sde_model()
+        with pytest.raises(ValueError):
+            make_advance("ekf", model, 1)
+        with pytest.raises(ValueError):
+            BenchConfig(filters=("ekf",))
+        with pytest.raises(ValueError):
+            convergence_study("linear-fp", ["ekf"], [8])
+
+    def test_nonpositive_m_rejected(self):
+        model = oscillator_scenario().sde_model()
+        for filter_id in FILTER_IDS:
+            with pytest.raises(ValueError):
+                make_advance(filter_id, model, 0)
+
+    def test_adaptive_ignores_m(self):
+        sc = RadarScenario(omega0_deg=12.0, interval=4.0, em_substeps=50)
+        _, belief = make_trial(sc, 3)
+        model = sc.sde_model()
+        base = make_advance("lskf-adaptive", model, 1)(belief, 4.0)
+        for m in (2, 7):
+            b = make_advance("lskf-adaptive", model, m)(belief, 4.0)
+            np.testing.assert_array_equal(b.mean, base.mean)
+            np.testing.assert_array_equal(b.factor, base.factor)
+        rows = convergence_study("oscillator", ["lskf-adaptive"], [4, 64])
+        assert rows[0]["err_cov_fro"] == rows[1]["err_cov_fro"]
+        assert rows[0]["err_mean_l2"] == rows[1]["err_mean_l2"]

@@ -10,7 +10,6 @@ from cdfilter import (
     cdckf_time_update,
     cholesky_lower,
     it15_point_predict,
-    lv_matrix,
     lyapunov_oracle,
 )
 from cdfilter.scenarios import RadarScenario
@@ -40,7 +39,7 @@ class TestOperators:
         ops = It15Operators(model)
         x = np.array([1000.0, 10.0, 2650.0, 150.0, 200.0, 1.0, 0.1])
         expect = model.drift_jacobian(x, 0.0) @ model.diffusion_factor
-        np.testing.assert_allclose(lv_matrix(x, 0.0, ops), expect, atol=1e-14)
+        np.testing.assert_allclose(ops.lv(x, 0.0), expect, atol=1e-14)
 
     def test_missing_jacobian_raises(self):
         from cdfilter import SdeModel

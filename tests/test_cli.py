@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from cdfilter.cli import main, read_csv, run_appendix_a, run_from_manifest
+from cdfilter.bench import run_appendix_a
+from cdfilter.cli import main, read_csv, run_from_manifest
 
 # a radar invocation small enough for repeated runs
 _RADAR_FAST = ["radar", "--trials", "2", "--omega-deg", "6", "--interval-s",
@@ -125,6 +126,33 @@ class TestConfigAndErrors:
                      "--factorizations", "8", "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["settings"]["factorizations"] == 8
+
+    def test_config_keys_accept_underscores(self, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text("[appendix-a]\nfactorizations = 4\nt_end = 0.5\n")
+        out = tmp_path / "out"
+        assert _run(["--config", cfgfile, "appendix-a", "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["settings"]["t_end"] == 0.5
+
+    @pytest.mark.parametrize("content", [None, "[appendix-a]\nseed = 5%\n"])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        # a missing file, and a value configparser cannot interpolate
+        cfgfile = tmp_path / "run.ini"
+        if content is not None:
+            cfgfile.write_text(content)
+        assert _run(["--config", cfgfile, "appendix-a",
+                     "--out", tmp_path / "out"]) == 2
+        assert "run.ini" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text("[appendix-a]\nfactorisations = 4\n")
+        assert _run(["--config", cfgfile, "appendix-a",
+                     "--out", tmp_path / "out"]) == 2
+        assert "factorisations" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_exits_2(self):
         assert _run(["radar", "--frobnicate"]) == 2

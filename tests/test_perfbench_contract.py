@@ -1,0 +1,43 @@
+"""The benchmark harness in ``perfbench/`` times the library from outside by
+swapping module-level names (``cdfilter.lskf.integrate``,
+``cdfilter.bench._trial_worker`` ...) and model factory methods.  A rename
+of any of them would silently break ``perfbench/run.py --trace 1``; this
+test makes it fail the ordinary suite instead.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import cdfilter.bench
+import cdfilter.cli  # noqa: F401 - the tracer swaps names in loaded modules
+import cdfilter.lskf
+import cdfilter.scenarios
+
+_LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+
+
+def _layertrace():
+    spec = importlib.util.spec_from_file_location("layertrace", _LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls(tmp_path):
+    layertrace = _layertrace()
+    originals = (cdfilter.bench._trial_worker, cdfilter.bench.ProcessPoolExecutor,
+                 cdfilter.bench.run_grid, cdfilter.lskf.integrate,
+                 cdfilter.scenarios.RadarScenario.sde_model)
+    tracer = layertrace.Tracer(tmp_path / "spans")
+    try:
+        tracer.install()
+        assert cdfilter.bench.run_grid is not originals[2]
+    except layertrace.TraceError as exc:
+        pytest.fail(f"perfbench can no longer trace the library: {exc}")
+    finally:
+        tracer.uninstall()
+    assert (cdfilter.bench._trial_worker, cdfilter.bench.ProcessPoolExecutor,
+            cdfilter.bench.run_grid, cdfilter.lskf.integrate,
+            cdfilter.scenarios.RadarScenario.sde_model) == originals

@@ -13,10 +13,10 @@ from cdfilter import (
     oscillator_scenario,
     radar_measure,
     simulate_truth,
-    transport_scenario,
 )
 from cdfilter.scenarios import (
     RADAR_STATION,
+    TransportScenario,
     coordinated_turn_hessians,
     coordinated_turn_jacobian,
 )
@@ -177,12 +177,12 @@ class TestLinearScenarios:
 
 class TestTransport:
     def test_flow_characteristics(self):
-        sc = transport_scenario(1.0, 1.0)
+        sc = TransportScenario(1.0, 1.0)
         np.testing.assert_allclose(sc.flow(np.array([2.0, 1.0]), 0.5),
                                    [2.0, 3.0])
 
     def test_exact_density_is_transported_initial_density(self):
-        sc = transport_scenario(0.5, 1.0)
+        sc = TransportScenario(0.5, 1.0)
         xg, yg = np.meshgrid(np.linspace(-2, 2, 11), np.linspace(-2, 2, 11),
                              indexing="ij")
         t = 0.7
@@ -191,20 +191,20 @@ class TestTransport:
                                    atol=1e-15)
 
     def test_l2_error_zero_for_exact_gaussian_at_t0(self):
-        sc = transport_scenario(0.5, 1.0)
+        sc = TransportScenario(0.5, 1.0)
         err = sc.l2_error(np.zeros(2), sc.sigma0(), 0.0)
         assert err <= 1e-12
 
     def test_l2_error_positive_after_transport(self):
-        sc = transport_scenario(0.5, 1.0)
+        sc = TransportScenario(0.5, 1.0)
         assert sc.l2_error(np.zeros(2), sc.sigma0(), 1.0) > 1e-3
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            transport_scenario(-1.0, 1.0)
+            TransportScenario(-1.0, 1.0)
 
     def test_model_is_noise_free(self):
-        model = transport_scenario(0.5, 1.0).sde_model()
+        model = TransportScenario(0.5, 1.0).sde_model()
         assert np.all(model.noise_cov() == 0.0)
         np.testing.assert_allclose(model.drift(np.array([3.0, 9.0]), 0.0),
                                    [0.0, 9.0])
