@@ -30,6 +30,9 @@ from .linalg import cholesky_lower, lyapunov_oracle
 FILTER_IDS = ("lskf-rk1", "lskf-rk2", "lskf-rk4", "lskf-adaptive", "cdckf",
               "cdckf-proper")
 
+# a trial diverges once its position error exceeds this (metres)
+DIVERGENCE_THRESHOLD = 500.0
+
 _POS = (0, 2, 4)
 _VEL = (1, 3, 5)
 
@@ -45,16 +48,12 @@ class BenchConfig:
     base_seed: int = 20210001
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
-    divergence_threshold: float = 500.0
     sigma2: float = 7e-4
-    horizon: float = 120.0
     em_substeps: int = 1000
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.divergence_threshold <= 0:
-            raise ValueError("divergence threshold must be positive")
         # make_advance rejects an unknown filter id or variant and m < 1
         model = RadarScenario().sde_model()
         for f in self.filters:
@@ -63,8 +62,7 @@ class BenchConfig:
 
     def scenario(self, omega_deg: float, interval: float) -> RadarScenario:
         return RadarScenario(omega0_deg=omega_deg, interval=interval,
-                             horizon=self.horizon, sigma2=self.sigma2,
-                             em_substeps=self.em_substeps)
+                             sigma2=self.sigma2, em_substeps=self.em_substeps)
 
 
 @dataclass(frozen=True)
@@ -163,7 +161,7 @@ def run_trial(config: BenchConfig, filter_id: str, m: int, omega_deg: float,
     t0 = time.perf_counter()
     try:
         sq_pos, sq_vel, sq_turn, divergent = _filter_loop(
-            advance, mm, traj, belief, config.divergence_threshold)
+            advance, mm, traj, belief, DIVERGENCE_THRESHOLD)
     except CdFilterError:
         n = len(traj.times)
         sq_pos = sq_vel = sq_turn = np.zeros(n)
@@ -250,7 +248,7 @@ def _metadata(config: BenchConfig) -> dict:
         "adaptive_abs_tol": config.abs_tol,
         "adaptive_rel_tol": config.rel_tol,
         "divergence_rule": "instantaneous position error norm > "
-                           f"{config.divergence_threshold} m, or non-finite "
+                           f"{DIVERGENCE_THRESHOLD} m, or non-finite "
                            "value, or solver failure; divergent trials are "
                            "excluded from RMSE and counted separately",
         "sigma2": config.sigma2,

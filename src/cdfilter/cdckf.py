@@ -1,8 +1,9 @@
 """Cubature-filter time-update with a strong order 1.5 Ito-Taylor map.
 
-This is the baseline the level-set update is compared against.  It needs
+This is the baseline the level-set update is compared against.  It takes
 the drift Jacobian (and, when the process noise excites curved directions,
-the drift Hessians).  Two variants:
+the drift Hessians) from the model's analytic derivatives, and raises
+``MissingDerivatives`` when the model lacks them.  Two variants:
 
 * ``proper-it15``    - noise blocks rebuilt at every substep with the
   substep length; converges (weak order 2) to the exact moments.
@@ -44,69 +45,33 @@ class It15Operators:
         f_d(x) = x + dt * v + 0.5 * dt^2 * L0(v),
         L0(v)_i = (J v)_i + 0.5 * sum_pq K[p,q] * H[i][p,q],
 
-    and the noise-coupling matrix is L(v) = J @ sqrt(K).  A central
-    finite-difference fallback (step 1e-6 * (1 + |x|)) can stand in for
-    missing analytic derivatives, but is off by default.
+    and the noise-coupling matrix is L(v) = J @ sqrt(K).  J and H come
+    from the model's analytic ``drift_jacobian`` and ``drift_hessians``;
+    the Hessians are needed only when K is nonzero.
     """
 
-    def __init__(self, model: SdeModel, finite_diff: bool = False):
+    def __init__(self, model: SdeModel):
         self.model = model
-        self.finite_diff = finite_diff
         self._K = model.noise_cov()
         self._needs_hessians = np.any(self._K != 0.0)
-        if model.drift_jacobian is None and not finite_diff:
-            raise MissingDerivatives("drift_jacobian required (or enable finite_diff)")
-        if (model.drift_hessians is None and not finite_diff
-                and self._needs_hessians):
-            raise MissingDerivatives(
-                "drift_hessians required when K is nonzero (or enable finite_diff)")
-
-    def jacobian(self, x, t):
-        if self.model.drift_jacobian is not None:
-            return self.model.drift_jacobian(x, t)
-        d = self.model.dim
-        v = self.model.drift
-        h = 1e-6 * (1.0 + np.linalg.norm(x))
-        J = np.empty((d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            J[:, j] = (v(x + e, t) - v(x - e, t)) / (2.0 * h)
-        return J
-
-    def hessians(self, x, t):
-        if self.model.drift_hessians is not None:
-            return self.model.drift_hessians(x, t)
-        d = self.model.dim
-        v = self.model.drift
-        h = 1e-6 * (1.0 + np.linalg.norm(x))
-        H = np.empty((d, d, d))
-        v0 = v(x, t)
-        for p in range(d):
-            for q in range(p, d):
-                ep = np.zeros(d); ep[p] = h
-                eq = np.zeros(d); eq[q] = h
-                if p == q:
-                    second = (v(x + ep, t) - 2.0 * v0 + v(x - ep, t)) / h**2
-                else:
-                    second = (v(x + ep + eq, t) - v(x + ep - eq, t)
-                              - v(x - ep + eq, t) + v(x - ep - eq, t)) / (4.0 * h**2)
-                H[:, p, q] = second
-                H[:, q, p] = second
-        return H
+        if model.drift_jacobian is None:
+            raise MissingDerivatives("drift_jacobian required")
+        if model.drift_hessians is None and self._needs_hessians:
+            raise MissingDerivatives("drift_hessians required when K is nonzero")
 
     def l0(self, x, t):
         """The scalar generator applied componentwise to the drift
         (autonomous drift: no explicit time-derivative term)."""
         v = self.model.drift(x, t)
-        out = self.jacobian(x, t) @ v
+        out = self.model.drift_jacobian(x, t) @ v
         if self._needs_hessians:
-            out = out + 0.5 * np.einsum("pq,ipq->i", self._K, self.hessians(x, t))
+            out = out + 0.5 * np.einsum("pq,ipq->i", self._K,
+                                        self.model.drift_hessians(x, t))
         return out
 
     def lv(self, x, t):
         """Noise-coupling matrix with entries sum_k sqrtK[k,j] dv_i/dx_k."""
-        return self.jacobian(x, t) @ self.model.diffusion_factor
+        return self.model.drift_jacobian(x, t) @ self.model.diffusion_factor
 
 
 def it15_point_predict(x: np.ndarray, t: float, dt: float, ops: It15Operators):
@@ -139,6 +104,9 @@ def cdckf_time_update(belief: GaussianBelief, model: SdeModel,
     sqrt_d = np.sqrt(d)
     w = 1.0 / np.sqrt(2 * d)
     sqrt_k = model.diffusion_factor
+    # noise blocks: every substep (proper-it15) or once per interval
+    proper = variant.mode == "proper-it15"
+    tau = dt if proper else total
 
     x = belief.mean.copy()
     M = belief.factor.copy()
@@ -150,21 +118,11 @@ def cdckf_time_update(belief: GaussianBelief, model: SdeModel,
         for i in range(2 * d):
             prop[:, i] = it15_point_predict(pts[:, i], t, dt, ops)
         x_new = prop.mean(axis=1)
-        xc = w * (prop - x_new[:, None])
-        if variant.mode == "proper-it15":
+        blocks = [w * (prop - x_new[:, None])]
+        if proper or s == 0:
             L = ops.lv(x_new, t)
-            blocks = [xc,
-                      np.sqrt(dt) * (sqrt_k + 0.5 * dt * L),
-                      np.sqrt(dt**3 / 12.0) * L]
-        elif s == 0:
-            # noise discretized once per measurement interval, with the
-            # full interval's structure, at the first substep's mean
-            L = ops.lv(x_new, t)
-            blocks = [xc,
-                      np.sqrt(total) * (sqrt_k + 0.5 * total * L),
-                      np.sqrt(total**3 / 12.0) * L]
-        else:
-            blocks = [xc]
+            blocks += [np.sqrt(tau) * (sqrt_k + 0.5 * tau * L),
+                       np.sqrt(tau**3 / 12.0) * L]
         M = tria(np.concatenate(blocks, axis=1))
         x = x_new
         t += dt

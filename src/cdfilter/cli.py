@@ -9,8 +9,9 @@ separate ``timing.json`` sidecar so the result files stay deterministic.
 
 Configuration can come from a flat INI-style file (section = subcommand,
 keys = long flag names); explicit flags override file values, and an
-unknown key or an unreadable file is a usage error.  The environment
-variable ``CDFILTER_SEED`` overrides ``--seed``.
+unknown key or an unreadable file is a usage error, as is an unknown
+filter id or a count below 1.  The environment variable ``CDFILTER_SEED``
+overrides every ``--seed``, and the manifest records the seed that ran.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -27,8 +28,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bench import (BenchConfig, _metadata, convergence_study, run_appendix_a,
-                    run_grid)
+from .bench import (FILTER_IDS, BenchConfig, _metadata, convergence_study,
+                    run_appendix_a, run_grid)
+from .lskf import VARIANTS
 
 RADAR_CSV_COLUMNS = ("filter", "variant", "omega_deg", "interval_s", "m",
                      "trials", "divergent", "rmse_pos_m", "rmse_vel_mps",
@@ -71,12 +73,24 @@ def _floats(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
-def _ints(text: str):
-    return tuple(int(v) for v in text.split(","))
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def _names(text: str):
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def _counts(text: str):
+    return tuple(_count(v) for v in text.split(","))
+
+
+def _filter_ids(text: str):
+    ids = tuple(v.strip() for v in text.split(",") if v.strip())
+    for v in ids:
+        if v not in FILTER_IDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown filter id {v!r} (choose from {', '.join(FILTER_IDS)})")
+    return ids
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,10 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("convergence", help="time-update convergence table")
     conv.add_argument("problem", choices=("linear-fp", "oscillator"))
-    conv.add_argument("--methods", type=_names,
-                      default=("lskf-rk1", "lskf-rk2", "lskf-rk4", "cdckf",
-                               "cdckf-proper"))
-    conv.add_argument("--steps", type=_ints,
+    conv.add_argument("--methods", type=_filter_ids,
+                      default=tuple(f for f in FILTER_IDS if f != "lskf-adaptive"))
+    conv.add_argument("--steps", type=_counts,
                       default=(4, 8, 16, 32, 64, 128, 256, 512, 1024))
     conv.add_argument("--out", default="out")
 
@@ -102,13 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     radar.add_argument("--omega-deg", type=_floats, default=(6.0, 12.0, 24.0))
     radar.add_argument("--interval-s", type=_floats,
                        default=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
-    radar.add_argument("--m", type=_ints, default=(1,))
-    radar.add_argument("--filters", type=_names,
+    radar.add_argument("--m", type=_counts, default=(1,))
+    radar.add_argument("--filters", type=_filter_ids,
                        default=("lskf-adaptive", "cdckf"))
-    radar.add_argument("--trials", type=int, default=100)
+    radar.add_argument("--trials", type=_count, default=100)
     radar.add_argument("--seed", type=int, default=20210001)
-    radar.add_argument("--variant", choices=("standard", "averaged", "partial"),
-                       default="averaged")
+    radar.add_argument("--variant", choices=VARIANTS, default="averaged")
     radar.add_argument("--tol-abs", type=float, default=1e-8)
     radar.add_argument("--tol-rel", type=float, default=1e-8)
     radar.add_argument("--sigma2", type=float, default=7e-4)
@@ -182,7 +194,6 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_radar(args) -> int:
-    seed = int(os.environ.get("CDFILTER_SEED", args.seed))
     config = BenchConfig(
         omega_deg=args.omega_deg,
         intervals=args.interval_s,
@@ -190,13 +201,13 @@ def cmd_radar(args) -> int:
         filters=args.filters,
         variant=args.variant,
         trials=args.trials,
-        base_seed=seed,
+        base_seed=args.seed,
         abs_tol=args.tol_abs,
         rel_tol=args.tol_rel,
         sigma2=args.sigma2,
     )
     out = _start_run(args, "radar", "radar.csv",
-                     dict(_metadata(config), seed=seed))
+                     dict(_metadata(config), seed=args.seed))
     t0 = time.perf_counter()
     report = run_grid(config, jobs=args.jobs)
     _write_csv(out / "radar.csv", RADAR_CSV_COLUMNS, report.rows)
@@ -249,6 +260,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_with_config(parser, argv))
+        # set in args, so the manifest and any replay keep the seed that ran
+        env_seed = os.environ.get("CDFILTER_SEED")
+        if env_seed is not None and hasattr(args, "seed"):
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                parser.error(f"CDFILTER_SEED must be an integer, got {env_seed!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -32,8 +32,8 @@ class StepUnderflow(CdFilterError):
 
 
 class MissingDerivatives(CdFilterError):
-    """An operation requires analytic drift derivatives that the model does
-    not provide (and finite differences are disabled)."""
+    """The Ito-Taylor baseline needs a drift Jacobian, or Hessians under
+    nonzero process noise, that the model does not provide."""
 
 
 class DegenerateInnovationCovariance(CdFilterError):

@@ -13,6 +13,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import NotPositiveSemiDefinite, NotSymmetric, SingularFactor
 from .models import LinearSystem
+from .ode import OdeProblem, SolverSpec, integrate
 
 
 def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
@@ -87,8 +88,6 @@ def lyapunov_oracle(sys: LinearSystem, x0, sigma0, t: float, tol: float = 1e-12)
     tolerance ``tol``.  This is the independent oracle the level-set and
     Ito-Taylor updates are judged against; it never touches factor form.
     """
-    from .ode import OdeProblem, SolverSpec, integrate
-
     if tol <= 0:
         raise ValueError("tol must be positive")
     J, K = sys.J, sys.K

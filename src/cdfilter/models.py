@@ -98,9 +98,6 @@ class MeasurementModel:
             if flags.shape != (self.meas_dim,):
                 raise ValueError("residual_wrap must have one flag per component")
 
-    def noise_cov(self) -> np.ndarray:
-        return self.noise_factor @ self.noise_factor.T
-
 
 @dataclass(frozen=True)
 class LinearSystem:

@@ -9,7 +9,7 @@ nothing downstream ever sees degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class RadarScenario:
     horizon: float = 120.0
     sigma1: float = math.sqrt(0.2)
     sigma2: float = 7e-4
-    station: np.ndarray = field(default_factory=lambda: RADAR_STATION.copy())
     sigma_r: float = 50.0
     sigma_angle_deg: float = 0.1
     em_substeps: int = 1000         # truth-simulation substeps per interval
@@ -111,10 +110,9 @@ class RadarScenario:
 
     def measurement_model(self) -> MeasurementModel:
         sa = self.sigma_angle_deg * DEG
-        station = self.station
         return MeasurementModel(
             meas_dim=3,
-            h=lambda x: radar_measure(x, station),
+            h=radar_measure,
             noise_factor=np.diag([self.sigma_r, sa, sa]),
             residual_wrap=np.array([False, True, True]),
         )

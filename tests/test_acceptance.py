@@ -170,7 +170,7 @@ def test_acceptance_4_measurement_update_oracle():
             f"worst deviation {worst:.2e}, {elapsed:.1f} s")
 
 
-# module-scope cache so criteria 5 and 6 share the expensive sweep
+# module-scope cache of the acceptance-5 sweep, one entry per (filter, m)
 _GRID_RESULTS = {}
 
 

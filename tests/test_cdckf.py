@@ -7,10 +7,12 @@ from cdfilter import (
     It15Operators,
     LinearSystem,
     MissingDerivatives,
+    SdeModel,
     cdckf_time_update,
     cholesky_lower,
     it15_point_predict,
     lyapunov_oracle,
+    tria,
 )
 from cdfilter.scenarios import RadarScenario
 
@@ -24,6 +26,38 @@ def _benchmark():
 def _belief(sigma, mean):
     return GaussianBelief(mean=np.asarray(mean, float),
                           factor=cholesky_lower(sigma))
+
+
+def _two_branch_update(belief, model, variant, t1, ops):
+    """Reference time-update that builds the noise blocks in two branches:
+    every substep with its own length (proper-it15), or once, at the first
+    substep, with the whole interval's length (paper-faithful)."""
+    d = model.dim
+    total = t1 - belief.time
+    dt = total / variant.m
+    w = 1.0 / np.sqrt(2 * d)
+    sqrt_k = model.diffusion_factor
+    x, M, t = belief.mean.copy(), belief.factor.copy(), belief.time
+    for s in range(variant.m):
+        spread = np.sqrt(d) * M
+        pts = np.concatenate([x[:, None] + spread, x[:, None] - spread], axis=1)
+        prop = np.empty_like(pts)
+        for i in range(2 * d):
+            prop[:, i] = it15_point_predict(pts[:, i], t, dt, ops)
+        x_new = prop.mean(axis=1)
+        blocks = [w * (prop - x_new[:, None])]
+        if variant.mode == "proper-it15":
+            L = ops.lv(x_new, t)
+            blocks += [np.sqrt(dt) * (sqrt_k + 0.5 * dt * L),
+                       np.sqrt(dt**3 / 12.0) * L]
+        elif s == 0:
+            L = ops.lv(x_new, t)
+            blocks += [np.sqrt(total) * (sqrt_k + 0.5 * total * L),
+                       np.sqrt(total**3 / 12.0) * L]
+        M = tria(np.concatenate(blocks, axis=1))
+        x = x_new
+        t += dt
+    return x, M
 
 
 class TestOperators:
@@ -42,31 +76,23 @@ class TestOperators:
         np.testing.assert_allclose(ops.lv(x, 0.0), expect, atol=1e-14)
 
     def test_missing_jacobian_raises(self):
-        from cdfilter import SdeModel
         model = SdeModel(dim=1, drift=lambda x, t: -x,
                          diffusion_factor=np.eye(1))
         with pytest.raises(MissingDerivatives):
             It15Operators(model)
 
+    def test_missing_hessians_raises_when_noisy(self):
+        model = SdeModel(dim=1, drift=lambda x, t: x * x,
+                         diffusion_factor=np.eye(1),
+                         drift_jacobian=lambda x, t: np.array([[2 * x[0]]]))
+        with pytest.raises(MissingDerivatives):
+            It15Operators(model)
+
     def test_missing_hessians_ok_when_noise_free(self):
-        from cdfilter import SdeModel
         model = SdeModel(dim=1, drift=lambda x, t: x * x,
                          diffusion_factor=np.zeros((1, 1)),
                          drift_jacobian=lambda x, t: np.array([[2 * x[0]]]))
         It15Operators(model)  # no Hessian needed without process noise
-
-    def test_finite_difference_fallback(self):
-        model = RadarScenario().sde_model()
-        from cdfilter import SdeModel
-        bare = SdeModel(dim=7, drift=model.drift,
-                        diffusion_factor=model.diffusion_factor)
-        fd = It15Operators(bare, finite_diff=True)
-        exact = It15Operators(model)
-        x = np.array([1000.0, 10.0, 2650.0, 150.0, 200.0, 1.0, 0.1])
-        np.testing.assert_allclose(fd.jacobian(x, 0.0), exact.jacobian(x, 0.0),
-                                   atol=1e-3)
-        np.testing.assert_allclose(fd.l0(x, 0.0), exact.l0(x, 0.0),
-                                   rtol=1e-3, atol=1e-3)
 
 
 class TestPointPredict:
@@ -144,7 +170,6 @@ class TestTimeUpdate:
             calls["n"] += 1
             return base.drift(x, t)
 
-        from cdfilter import SdeModel
         model = SdeModel(dim=2, drift=counting,
                          diffusion_factor=base.diffusion_factor,
                          drift_jacobian=base.drift_jacobian,
@@ -167,6 +192,20 @@ class TestTimeUpdate:
         belief = _belief(np.eye(2), [0.0, 0.0])
         assert cdckf_time_update(belief, sys.as_sde(),
                                  CdckfVariant("proper-it15", 2), 0.0) is belief
+
+    @pytest.mark.parametrize("mode", ["paper-faithful", "proper-it15"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_noise_blocks_match_two_branch_reference(self, mode, m):
+        sc = RadarScenario()
+        model = sc.sde_model()
+        ops = It15Operators(model)
+        belief = GaussianBelief(mean=sc.initial_state(),
+                                factor=cholesky_lower(sc.initial_covariance()))
+        variant = CdckfVariant(mode, m)
+        out = cdckf_time_update(belief, model, variant, 4.0, ops)
+        mean, factor = _two_branch_update(belief, model, variant, 4.0, ops)
+        assert np.array_equal(out.mean, mean)
+        assert np.array_equal(out.factor, factor)
 
     def test_bad_variant_args(self):
         with pytest.raises(ValueError):

@@ -62,13 +62,18 @@ class TestRadarCommand:
         assert (first / "radar.csv").read_bytes() == (second / "radar.csv").read_bytes()
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
-        base, env = tmp_path / "base", tmp_path / "env"
+        base, env, replay = tmp_path / "base", tmp_path / "env", tmp_path / "replay"
         _run(_RADAR_FAST + ["--out", base])
         monkeypatch.setenv("CDFILTER_SEED", "999")
         _run(_RADAR_FAST + ["--out", env])
         monkeypatch.delenv("CDFILTER_SEED")
-        assert json.loads((env / "manifest.json").read_text())["decisions"]["seed"] == 999
+        manifest = json.loads((env / "manifest.json").read_text())
+        assert manifest["decisions"]["seed"] == 999
+        assert manifest["settings"]["seed"] == 999
         assert (base / "radar.csv").read_bytes() != (env / "radar.csv").read_bytes()
+        # the replay runs the recorded seed without the variable set
+        assert run_from_manifest(env / "manifest.json", out_dir=replay) == 0
+        assert (env / "radar.csv").read_bytes() == (replay / "radar.csv").read_bytes()
 
     def test_seed_changes_results(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -100,6 +105,16 @@ class TestAppendixACommand:
         assert [r["variant"] for r in rows] == ["standard", "averaged", "partial"]
         assert all(r["factorizations"] == 16 for r in rows)
         assert all(r["mean_l2_err"] > 0 for r in rows)
+
+    def test_seed_env_override(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CDFILTER_SEED", "7")
+        assert _run(["appendix-a", "--factorizations", "4",
+                     "--out", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["settings"]["seed"] == 7
+        rows = read_csv(tmp_path / "appendix_a.csv")
+        expect = run_appendix_a(4, 7, 0.5, 1.0, 1.0)
+        assert [r["mean_l2_err"] for r in rows] == [r["mean_l2_err"] for r in expect]
 
     def test_run_appendix_a_deterministic(self):
         a = run_appendix_a(8, 1, 0.5, 1.0, 1.0)
@@ -161,5 +176,27 @@ class TestConfigAndErrors:
         assert _run(["teleport"]) == 2
 
     def test_runtime_failure_exits_1(self, tmp_path):
-        # an unknown filter id passes argparse but fails in the library
-        assert _run(["radar", "--filters", "ekf", "--out", tmp_path]) == 1
+        # a valid command line whose output directory cannot be made
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert _run(["appendix-a", "--factorizations", "4", "--out", out]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["radar", "--filters", "ekf"],
+        ["radar", "--m", "0", "--filters", "lskf-adaptive"],
+        ["radar", "--trials", "0"],
+        ["convergence", "linear-fp", "--methods", "ekf"],
+        ["convergence", "linear-fp", "--methods", "lskf-rk2", "--steps", "0"],
+    ])
+    def test_bad_grid_value_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert _run(argv + ["--out", out]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_seed_env_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CDFILTER_SEED", "twelve")
+        out = tmp_path / "out"
+        assert _run(["appendix-a", "--out", out]) == 2
+        assert "CDFILTER_SEED" in capsys.readouterr().err
+        assert not out.exists()
