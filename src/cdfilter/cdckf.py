@@ -52,11 +52,9 @@ class It15Operators:
 
     def __init__(self, model: SdeModel):
         self.model = model
-        self._K = model.noise_cov()
-        self._needs_hessians = np.any(self._K != 0.0)
         if model.drift_jacobian is None:
             raise MissingDerivatives("drift_jacobian required")
-        if model.drift_hessians is None and self._needs_hessians:
+        if model.drift_hessians is None and model.has_noise:
             raise MissingDerivatives("drift_hessians required when K is nonzero")
 
     def l0(self, x, t):
@@ -64,8 +62,8 @@ class It15Operators:
         (autonomous drift: no explicit time-derivative term)."""
         v = self.model.drift(x, t)
         out = self.model.drift_jacobian(x, t) @ v
-        if self._needs_hessians:
-            out = out + 0.5 * np.einsum("pq,ipq->i", self._K,
+        if self.model.has_noise:
+            out = out + 0.5 * np.einsum("pq,ipq->i", self.model.noise_cov(),
                                         self.model.drift_hessians(x, t))
         return out
 

@@ -10,7 +10,8 @@ separate ``timing.json`` sidecar so the result files stay deterministic.
 Configuration can come from a flat INI-style file (section = subcommand,
 keys = long flag names); explicit flags override file values, and an
 unknown key or an unreadable file is a usage error, as is an unknown
-filter id or a count below 1.  The environment variable ``CDFILTER_SEED``
+filter id, an empty id list, a count below 1 or a measurement interval
+outside (0, horizon].  The environment variable ``CDFILTER_SEED``
 overrides every ``--seed``, and the manifest records the seed that ran.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
@@ -31,6 +32,7 @@ from . import __version__
 from .bench import (FILTER_IDS, BenchConfig, _metadata, convergence_study,
                     run_appendix_a, run_grid)
 from .lskf import VARIANTS
+from .scenarios import RadarScenario
 
 RADAR_CSV_COLUMNS = ("filter", "variant", "omega_deg", "interval_s", "m",
                      "trials", "divergent", "rmse_pos_m", "rmse_vel_mps",
@@ -84,8 +86,20 @@ def _counts(text: str):
     return tuple(_count(v) for v in text.split(","))
 
 
+def _intervals(text: str):
+    values = _floats(text)
+    for v in values:
+        try:
+            RadarScenario(interval=v)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"interval {v:g}: {exc}") from None
+    return values
+
+
 def _filter_ids(text: str):
     ids = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not ids:
+        raise argparse.ArgumentTypeError("no filter id given")
     for v in ids:
         if v not in FILTER_IDS:
             raise argparse.ArgumentTypeError(
@@ -113,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     radar = sub.add_parser("radar", help="Monte-Carlo radar tracking grid")
     radar.add_argument("--omega-deg", type=_floats, default=(6.0, 12.0, 24.0))
-    radar.add_argument("--interval-s", type=_floats,
+    radar.add_argument("--interval-s", type=_intervals,
                        default=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
     radar.add_argument("--m", type=_counts, default=(1,))
     radar.add_argument("--filters", type=_filter_ids,
@@ -128,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     radar.add_argument("--out", default="out")
 
     appa = sub.add_parser("appendix-a", help="center-velocity variant comparison")
-    appa.add_argument("--factorizations", type=int, default=1024)
+    appa.add_argument("--factorizations", type=_count, default=1024)
     appa.add_argument("--seed", type=int, default=20210001)
     appa.add_argument("--a", type=float, default=0.5)
     appa.add_argument("--b", type=float, default=1.0)

@@ -9,7 +9,7 @@ form makes regression values deterministic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import NotPositiveSemiDefinite, NotSymmetric, SingularFactor
 from .models import LinearSystem
@@ -66,18 +66,22 @@ def tria(a: np.ndarray) -> np.ndarray:
 def solve_transpose(m: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Solve ``X @ M.T = K`` for X, i.e. return ``K @ inv(M.T)``.
 
-    Uses LU with partial pivoting.  Raises :class:`SingularFactor` when a
-    pivot magnitude drops below ``1e-14 * ||M||`` so that an adaptive
-    integration step evaluating this can be rejected rather than producing
-    garbage.
+    Uses LU with partial pivoting, calling LAPACK ``dgetrf``/``dgetrs``
+    directly; scipy's LU factor/solve wrappers call the same routines, so
+    the result is the same to the bit, without their per-call checks.
+    Raises :class:`SingularFactor` when a pivot is exactly zero or its
+    magnitude drops below ``1e-14 * ||M||``, so that an adaptive
+    integration step evaluating this can be rejected rather than
+    producing garbage.  No warning is emitted first, so the contract
+    holds under warnings-as-errors too.
     """
     m = np.asarray(m, dtype=float)
     k = np.asarray(k, dtype=float)
-    lu, piv = lu_factor(m, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < 1e-14 * np.linalg.norm(m):
+    lu, piv, info = dgetrf(m)
+    if info > 0 or np.min(np.abs(np.diag(lu))) < 1e-14 * np.linalg.norm(m):
         raise SingularFactor("factor M is numerically singular")
     # X M^T = K  <=>  M X^T = K^T
-    return lu_solve((lu, piv), k.T, check_finite=False).T
+    return dgetrs(lu, piv, k.T)[0].T
 
 
 def lyapunov_oracle(sys: LinearSystem, x0, sigma0, t: float, tol: float = 1e-12):

@@ -59,24 +59,24 @@ def lskf_rhs(t: float, mean: np.ndarray, factor: np.ndarray, model: SdeModel,
     _check_variant(variant)
     d = model.dim
     v = model.drift
+    # row i is the point mean +/- column i (contiguous, one drift call each)
     forward = np.empty((d, d))
-    for i in range(d):
-        forward[:, i] = v(mean + factor[:, i], t)
+    for i, point in enumerate(mean + factor.T):
+        forward[:, i] = v(point, t)
     if variant == "standard":
         center = v(mean, t)
     elif variant == "averaged":
         acc = forward.sum(axis=1)
-        for i in range(d):
-            acc = acc + v(mean - factor[:, i], t)
+        for point in mean - factor.T:
+            acc = acc + v(point, t)
         center = acc / (2 * d)
     else:  # partial: reuse the d forward points, one backward point
         backward = v(mean - factor[:, 0], t)
         center = (forward.sum(axis=1) + d * backward) / (2 * d)
-    noise = model.noise_cov()
     dfactor = forward - center[:, np.newaxis]
-    if np.any(noise != 0.0):
+    if model.has_noise:
         # noise-free models stay valid even with a singular factor
-        dfactor = dfactor + 0.5 * solve_transpose(factor, noise)
+        dfactor = dfactor + 0.5 * solve_transpose(factor, model.noise_cov())
     return center, dfactor
 
 

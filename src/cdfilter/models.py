@@ -55,6 +55,9 @@ class SdeModel:
     ``drift_jacobian`` and ``drift_hessians`` are only needed by the
     Ito-Taylor baseline; the level-set filter never evaluates them.
     ``drift_hessians(x, t)[i]`` is the d x d Hessian of drift component i.
+
+    K and ``has_noise`` (K has a nonzero entry) are computed once, at
+    construction; ``dataclasses.replace`` recomputes them.
     """
 
     dim: int
@@ -68,10 +71,14 @@ class SdeModel:
         object.__setattr__(self, "diffusion_factor", sqrt_k)
         if sqrt_k.shape != (self.dim, self.dim):
             raise ValueError("diffusion_factor must be dim x dim")
+        noise = sqrt_k @ sqrt_k.T
+        noise.flags.writeable = False
+        object.__setattr__(self, "_noise_cov", noise)
+        object.__setattr__(self, "has_noise", bool(np.any(noise != 0.0)))
 
     def noise_cov(self) -> np.ndarray:
-        """Process noise matrix K = sqrt(K) @ sqrt(K).T."""
-        return self.diffusion_factor @ self.diffusion_factor.T
+        """Process noise matrix K = sqrt(K) @ sqrt(K).T (read-only)."""
+        return self._noise_cov
 
 
 @dataclass(frozen=True)

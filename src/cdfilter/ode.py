@@ -4,7 +4,14 @@ The fixed kinds take exactly ``steps`` equal steps of the named classical
 scheme.  The adaptive kind is a Dormand-Prince 4(5) embedded pair with a
 PI step controller (safety 0.9, growth clamp [0.2, 5.0]); a recoverable
 right-hand-side failure (e.g. a singular covariance factor mid-step)
-rejects the trial step and halves it.
+rejects the trial step and halves it.  A failure at the initial point
+propagates at once, since no smaller step can avoid it.
+
+The pair is first-same-as-last (FSAL): the seventh stage is evaluated at
+the accepted point, so it is the next step's first stage, and a rejected
+step keeps its first stage.  ``SolveStats.rhs_evals`` counts every rhs
+call that returned; without failures that is ``1 + 6 * (accepted +
+rejected)`` for the adaptive kind.
 """
 
 from __future__ import annotations
@@ -78,6 +85,10 @@ _DP_B4 = np.array(
 )
 _DP_E = _DP_B5 - _DP_B4
 
+# the nonzero coefficients as (stage, coefficient) pairs, in stage order
+_DP_A_NZ = [[(j, a) for j, a in enumerate(row) if a != 0.0] for row in _DP_A]
+_DP_E_NZ = [(j, e) for j, e in enumerate(_DP_E) if e != 0.0]
+
 
 def _fixed_step(kind, rhs, t, y, h, stats):
     if kind == "fixed-rk1":
@@ -130,6 +141,8 @@ def _integrate_adaptive(problem, spec):
     err_prev = 1.0
     consecutive_failures = 0
     ks = [None] * 7
+    ks[0] = rhs(t, y)
+    stats.rhs_evals += 1
     while t < t1:
         if stats.accepted_steps + stats.rejected_steps >= spec.max_steps:
             raise MaxStepsExceeded(f"exceeded {spec.max_steps} steps")
@@ -137,14 +150,11 @@ def _integrate_adaptive(problem, spec):
         if h < 1e-14 * span:
             raise StepUnderflow(f"step {h} underflowed at t={t}")
         try:
-            for i in range(7):
-                yi = y
-                if i > 0:
-                    yi = y + h * sum(
-                        aij * ks[j] for j, aij in enumerate(_DP_A[i]) if aij != 0.0
-                    )
+            for i in range(1, 7):
+                # the last stage's point is the 5th-order solution (a[6] == b5)
+                yi = y + h * sum(a * ks[j] for j, a in _DP_A_NZ[i])
                 ks[i] = rhs(t + _DP_C[i] * h, yi)
-            stats.rhs_evals += 7
+                stats.rhs_evals += 1
         except RecoverableRhsError:
             stats.rejected_steps += 1
             consecutive_failures += 1
@@ -153,13 +163,13 @@ def _integrate_adaptive(problem, spec):
             h *= 0.5
             continue
         consecutive_failures = 0
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
-        err = h * sum(e * k for e, k in zip(_DP_E, ks) if e != 0.0)
+        err = h * sum(e * ks[j] for j, e in _DP_E_NZ)
         scale = spec.abs_tol + spec.rel_tol * np.linalg.norm(y)
         ratio = np.linalg.norm(err) / scale
         if ratio <= 1.0:
             t += h
-            y = y5
+            y = yi
+            ks[0] = ks[6]
             stats.accepted_steps += 1
             r = max(ratio, 1e-10)
             # PI controller (orders match the 5th-order propagating solution)

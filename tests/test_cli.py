@@ -187,6 +187,12 @@ class TestConfigAndErrors:
         ["radar", "--trials", "0"],
         ["convergence", "linear-fp", "--methods", "ekf"],
         ["convergence", "linear-fp", "--methods", "lskf-rk2", "--steps", "0"],
+        ["radar", "--interval-s", "0"],
+        ["radar", "--interval-s", "-1"],
+        ["radar", "--interval-s", "2,121"],
+        ["appendix-a", "--factorizations", "0"],
+        ["radar", "--filters", ","],
+        ["convergence", "linear-fp", "--methods", ","],
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from cdfilter import (
     LinearSystem,
@@ -100,6 +103,25 @@ class TestSolveTranspose:
     def test_singular_raises(self):
         with pytest.raises(SingularFactor):
             solve_transpose(np.array([[1.0, 0.0], [1.0, 0.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("m", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_exactly_singular_raises_without_warning(self, m):
+        # under warnings-as-errors a warning would escape in place of the
+        # SingularFactor an adaptive step is rejected on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularFactor):
+                solve_transpose(m, np.eye(m.shape[0]))
+
+    def test_equals_scipy_lu_solve(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            d = int(rng.integers(1, 9))
+            M = rng.standard_normal((d, d))
+            K = rng.standard_normal((d, d))
+            lu, piv = lu_factor(M, check_finite=False)
+            want = lu_solve((lu, piv), K.T, check_finite=False).T
+            assert np.array_equal(solve_transpose(M, K), want)
 
 
 class TestLyapunovOracle:

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from cdfilter import (
     GaussianBelief,
@@ -13,12 +16,41 @@ from cdfilter import (
     pack_state,
     unpack_state,
 )
+from cdfilter.scenarios import RadarScenario, TransportScenario
 
 
 def _benchmark_system():
     J = np.array([[0.0, 0.1], [0.0, 0.0]])
     K = np.array([[1.0, 0.5], [0.5, 3.0]])
     return LinearSystem(J=J, K=K)
+
+
+def _reference_lskf_rhs(t, mean, factor, model, variant="averaged"):
+    """The per-point level-set rhs with the noise matrix and the
+    diffusion-velocity solve computed on every call; the fast path must
+    reproduce it bit for bit."""
+    d = model.dim
+    v = model.drift
+    forward = np.empty((d, d))
+    for i in range(d):
+        forward[:, i] = v(mean + factor[:, i], t)
+    if variant == "standard":
+        center = v(mean, t)
+    elif variant == "averaged":
+        acc = forward.sum(axis=1)
+        for i in range(d):
+            acc = acc + v(mean - factor[:, i], t)
+        center = acc / (2 * d)
+    else:
+        backward = v(mean - factor[:, 0], t)
+        center = (forward.sum(axis=1) + d * backward) / (2 * d)
+    noise = model.diffusion_factor @ model.diffusion_factor.T
+    dfactor = forward - center[:, np.newaxis]
+    if np.any(noise != 0.0):
+        lu, piv = lu_factor(factor, check_finite=False)
+        dfactor = dfactor + 0.5 * lu_solve((lu, piv), noise.T,
+                                           check_finite=False).T
+    return center, dfactor
 
 
 def _belief(sigma0, mean=None, t=0.0):
@@ -106,8 +138,6 @@ class TestRhs:
         np.testing.assert_allclose(df_p, df_a, atol=1e-15)
 
     def test_variants_differ_on_nonlinear_drift(self):
-        from cdfilter.scenarios import RadarScenario
-
         model = RadarScenario().sde_model()
         rng = np.random.default_rng(5)
         mean = np.array([1000.0, 10.0, 2650.0, 150.0, 200.0, 1.0, 0.1])
@@ -116,6 +146,56 @@ class TestRhs:
                 ("standard", "averaged", "partial")}
         assert not np.allclose(outs["standard"][0], outs["averaged"][0])
         assert not np.allclose(outs["partial"][0], outs["averaged"][0])
+
+    @pytest.mark.parametrize("variant", ["standard", "averaged", "partial"])
+    def test_equals_reference_on_radar_model(self, variant):
+        model = RadarScenario(omega0_deg=12.0).sde_model()
+        rng = np.random.default_rng(8)
+        scale = np.array([10.0, 1.0, 10.0, 1.0, 10.0, 1.0, 0.1])
+        for _ in range(20):
+            mean = RadarScenario().initial_state() + scale * rng.standard_normal(7)
+            factor = scale[:, None] * rng.standard_normal((7, 7))
+            got = lskf_rhs(1.5, mean, factor, model, variant)
+            want = _reference_lskf_rhs(1.5, mean, factor, model, variant)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("variant", ["standard", "averaged", "partial"])
+    def test_equals_reference_on_noise_free_transport(self, variant):
+        model = TransportScenario(0.5, 1.0).sde_model()
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            mean = rng.standard_normal(2)
+            factor = rng.standard_normal((2, 2))
+            got = lskf_rhs(0.0, mean, factor, model, variant)
+            want = _reference_lskf_rhs(0.0, mean, factor, model, variant)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+class TestNoiseCov:
+    def test_equals_factor_product(self):
+        model = RadarScenario().sde_model()
+        sqrt_k = model.diffusion_factor
+        assert np.array_equal(model.noise_cov(), sqrt_k @ sqrt_k.T)
+
+    def test_is_read_only(self):
+        model = RadarScenario().sde_model()
+        with pytest.raises(ValueError):
+            model.noise_cov()[1, 1] = 5.0
+
+    def test_replace_recomputes(self):
+        model = TransportScenario(0.5, 1.0).sde_model()
+        sqrt_k = np.array([[1.0, 0.0], [0.5, 2.0]])
+        noisy = dataclasses.replace(model, diffusion_factor=sqrt_k)
+        assert np.array_equal(noisy.noise_cov(), sqrt_k @ sqrt_k.T)
+        assert np.all(model.noise_cov() == 0.0)
+        # the rhs sees the new noise, not the cached state of the original
+        mean, factor = np.array([0.3, -0.2]), np.array([[1.0, 0.2], [0.0, 1.5]])
+        got = lskf_rhs(0.0, mean, factor, noisy)
+        want = _reference_lskf_rhs(0.0, mean, factor, noisy)
+        assert np.array_equal(got[1], want[1])
+        assert not np.array_equal(got[1], lskf_rhs(0.0, mean, factor, model)[1])
 
 
 class TestTimeUpdate:

@@ -4,16 +4,98 @@ import pytest
 from cdfilter import (
     MaxStepsExceeded,
     OdeProblem,
+    RadarScenario,
+    RecoverableRhsError,
     SingularFactor,
+    SolveStats,
     SolverSpec,
+    cholesky_lower,
     integrate,
+    lskf_rhs,
     order_of_accuracy,
+    pack_state,
+    unpack_state,
 )
+from cdfilter.ode import _DP_A, _DP_B5, _DP_C, _DP_E
 
 
 def _decay(lam=-1.0):
     return OdeProblem(dim=1, rhs=lambda t, y: lam * y, t0=0.0, t1=1.0,
                       y0=np.array([1.0]))
+
+
+def _reference_dp45(problem, spec):
+    """Dormand-Prince without first-same-as-last: all seven stages are
+    evaluated on every attempt, k1 included.  The solver must reproduce
+    its solution and step counts bit for bit."""
+    stats = SolveStats()
+    rhs = problem.rhs
+    t, t1 = problem.t0, problem.t1
+    y = problem.y0.copy()
+    span = t1 - t
+    if span == 0.0:
+        return y, stats
+    h = span / 100.0
+    err_prev = 1.0
+    consecutive_failures = 0
+    ks = [None] * 7
+    while t < t1:
+        h = min(h, t1 - t)
+        try:
+            for i in range(7):
+                yi = y
+                if i > 0:
+                    yi = y + h * sum(
+                        aij * ks[j] for j, aij in enumerate(_DP_A[i]) if aij != 0.0
+                    )
+                ks[i] = rhs(t + _DP_C[i] * h, yi)
+            stats.rhs_evals += 7
+        except RecoverableRhsError:
+            stats.rejected_steps += 1
+            consecutive_failures += 1
+            if consecutive_failures > 20:
+                raise
+            h *= 0.5
+            continue
+        consecutive_failures = 0
+        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks) if b != 0.0)
+        err = h * sum(e * k for e, k in zip(_DP_E, ks) if e != 0.0)
+        scale = spec.abs_tol + spec.rel_tol * np.linalg.norm(y)
+        ratio = np.linalg.norm(err) / scale
+        if ratio <= 1.0:
+            t += h
+            y = y5
+            stats.accepted_steps += 1
+            r = max(ratio, 1e-10)
+            factor = 0.9 * r ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0)
+            h *= min(5.0, max(0.2, factor))
+            err_prev = r
+        else:
+            stats.rejected_steps += 1
+            h *= min(1.0, max(0.2, 0.9 * ratio ** (-0.2)))
+    return y, stats
+
+
+def _radar_problem():
+    sc = RadarScenario(omega0_deg=12.0)
+    model = sc.sde_model()
+
+    def rhs(t, y):
+        mean, factor = unpack_state(y, 7)
+        return pack_state(*lskf_rhs(t, mean, factor, model))
+
+    y0 = pack_state(sc.initial_state(), cholesky_lower(sc.initial_covariance()))
+    return OdeProblem(dim=56, rhs=rhs, t0=0.0, t1=6.0, y0=y0)
+
+
+def _failing_window():
+    # a recoverable failure on a short time window rejects two steps
+    def rhs(t, y):
+        if 0.5 < t < 0.505:
+            raise SingularFactor("window")
+        return -y
+
+    return OdeProblem(dim=1, rhs=rhs, t0=0.0, t1=1.0, y0=np.array([1.0]))
 
 
 class TestFixedSteppers:
@@ -107,12 +189,48 @@ class TestAdaptive:
         np.testing.assert_allclose(y, [np.exp(-1.0)], atol=1e-6)
 
     def test_persistent_failure_propagates(self):
+        calls = []
+
         def rhs(t, y):
+            calls.append(t)
             raise SingularFactor("always")
 
         prob = OdeProblem(dim=1, rhs=rhs, t0=0.0, t1=1.0, y0=np.array([1.0]))
         with pytest.raises(SingularFactor):
             integrate(prob, SolverSpec(kind="adaptive-embedded"))
+        # a failure at the initial point cannot be cured by a smaller step
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("make_problem, tol", [
+        (_radar_problem, 1e-8),
+        (lambda: _decay(-40.0), 1e-9),
+        (_failing_window, 1e-8),
+    ])
+    def test_equals_seven_stage_reference(self, make_problem, tol):
+        problem = make_problem()
+        spec = SolverSpec(kind="adaptive-embedded", abs_tol=tol, rel_tol=tol)
+        y, stats = integrate(problem, spec)
+        y_ref, ref = _reference_dp45(problem, spec)
+        assert np.array_equal(y, y_ref)
+        assert stats.accepted_steps == ref.accepted_steps
+        assert stats.rejected_steps == ref.rejected_steps
+
+    @pytest.mark.parametrize("lam", [-1.0, -40.0])
+    def test_first_same_as_last_eval_count(self, lam):
+        # k1 once, then six new stages per attempted step
+        spec = SolverSpec(kind="adaptive-embedded", abs_tol=1e-9, rel_tol=1e-9)
+        _, stats = integrate(_decay(lam), spec)
+        assert stats.rhs_evals == 1 + 6 * (stats.accepted_steps + stats.rejected_steps)
+
+    @pytest.mark.parametrize("make_problem, tol", [
+        (lambda: _decay(-40.0), 1e-9),
+        (_failing_window, 1e-8),
+    ])
+    def test_reference_problems_reject_steps(self, make_problem, tol):
+        # the equality check above must cover both rejection branches
+        spec = SolverSpec(kind="adaptive-embedded", abs_tol=tol, rel_tol=tol)
+        _, ref = _reference_dp45(make_problem(), spec)
+        assert ref.rejected_steps > 0
 
     def test_max_steps_enforced(self):
         prob = _decay(-1000.0)
