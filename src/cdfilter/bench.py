@@ -54,11 +54,12 @@ class BenchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # make_advance rejects an unknown filter id or variant and m < 1
+        # make_advance rejects an unknown filter id or variant, m < 1 and
+        # a non-positive adaptive tolerance
         model = RadarScenario().sde_model()
         for f in self.filters:
             for m in self.m_values:
-                make_advance(f, model, m, self.variant)
+                make_advance(f, model, m, self.variant, self.abs_tol, self.rel_tol)
 
     def scenario(self, omega_deg: float, interval: float) -> RadarScenario:
         return RadarScenario(omega0_deg=omega_deg, interval=interval,

@@ -10,8 +10,9 @@ separate ``timing.json`` sidecar so the result files stay deterministic.
 Configuration can come from a flat INI-style file (section = subcommand,
 keys = long flag names); explicit flags override file values, and an
 unknown key or an unreadable file is a usage error, as is an unknown
-filter id, an empty id list, a count below 1 or a measurement interval
-outside (0, horizon].  The environment variable ``CDFILTER_SEED``
+filter id, an empty id list, a count below 1, a measurement interval
+outside (0, horizon], a tolerance or transport scale that is not positive
+and a negative end time.  The environment variable ``CDFILTER_SEED``
 overrides every ``--seed``, and the manifest records the seed that ran.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
@@ -82,6 +83,20 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _counts(text: str):
     return tuple(_count(v) for v in text.split(","))
 
@@ -135,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     radar.add_argument("--trials", type=_count, default=100)
     radar.add_argument("--seed", type=int, default=20210001)
     radar.add_argument("--variant", choices=VARIANTS, default="averaged")
-    radar.add_argument("--tol-abs", type=float, default=1e-8)
-    radar.add_argument("--tol-rel", type=float, default=1e-8)
+    radar.add_argument("--tol-abs", type=_positive, default=1e-8)
+    radar.add_argument("--tol-rel", type=_positive, default=1e-8)
     radar.add_argument("--sigma2", type=float, default=7e-4)
     radar.add_argument("--jobs", type=int, default=1)
     radar.add_argument("--out", default="out")
@@ -144,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     appa = sub.add_parser("appendix-a", help="center-velocity variant comparison")
     appa.add_argument("--factorizations", type=_count, default=1024)
     appa.add_argument("--seed", type=int, default=20210001)
-    appa.add_argument("--a", type=float, default=0.5)
-    appa.add_argument("--b", type=float, default=1.0)
-    appa.add_argument("--t-end", type=float, default=1.0)
+    appa.add_argument("--a", type=_positive, default=0.5)
+    appa.add_argument("--b", type=_positive, default=1.0)
+    appa.add_argument("--t-end", type=_non_negative, default=1.0)
     appa.add_argument("--out", default="out")
     return parser
 

@@ -9,7 +9,7 @@ form makes regression values deterministic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs
 
 from .errors import NotPositiveSemiDefinite, NotSymmetric, SingularFactor
 from .models import LinearSystem
@@ -50,14 +50,16 @@ def tria(a: np.ndarray) -> np.ndarray:
 
     Implemented as QR of ``A.T`` followed by a transpose; columns are
     sign-fixed so the diagonal is non-negative (canonical form).
-    Requires at least as many columns as rows.
+    Requires at least as many columns as rows.  Calls LAPACK ``dgeqrf``
+    directly, the routine behind ``np.linalg.qr(mode="r")``; R is the same
+    to the bit, without the wrapper's per-call cost.
     """
     a = np.asarray(a, dtype=float)
     d, n = a.shape
     if n < d:
         raise ValueError(f"tria needs n >= d, got {d}x{n}")
-    r = np.linalg.qr(a.T, mode="r")
-    L = r.T[:d, :d].copy()
+    qr = dgeqrf(a.T)[0]
+    L = np.tril(qr[:d, :d].T)
     signs = np.sign(np.diag(L))
     signs[signs == 0.0] = 1.0
     return L * signs[np.newaxis, :]

@@ -41,6 +41,10 @@ class TestConfig:
                 BenchConfig(filters=(f,), m_values=(0,))
         with pytest.raises(ValueError):
             BenchConfig(variant="bogus")
+        # a bad adaptive tolerance is found here, not inside run_grid
+        for tol in ({"abs_tol": 0.0}, {"rel_tol": -1e-8}):
+            with pytest.raises(ValueError):
+                BenchConfig(filters=("lskf-adaptive",), **tol)
 
     def test_known_filter_ids(self):
         assert set(FILTER_IDS) == {"lskf-rk1", "lskf-rk2", "lskf-rk4",

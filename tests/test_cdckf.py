@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from cdfilter import (
     LinearSystem,
     MissingDerivatives,
     SdeModel,
+    TransportScenario,
     cdckf_time_update,
     cholesky_lower,
     it15_point_predict,
+    linear_fp_scenario,
     lyapunov_oracle,
+    oscillator_scenario,
     tria,
 )
 from cdfilter.scenarios import RadarScenario
@@ -28,10 +33,28 @@ def _belief(sigma, mean):
                           factor=cholesky_lower(sigma))
 
 
-def _two_branch_update(belief, model, variant, t1, ops):
-    """Reference time-update that builds the noise blocks in two branches:
-    every substep with its own length (proper-it15), or once, at the first
-    substep, with the whole interval's length (paper-faithful)."""
+def _reference_l0(model, x, t):
+    """The per-point generator the batched map replaced: its own drift
+    call, ``J @ v``, and the Hessian term as one einsum per point."""
+    v = model.drift(x, t)
+    out = model.drift_jacobian(x, t) @ v
+    if model.has_noise:
+        out = out + 0.5 * np.einsum("pq,ipq->i", model.noise_cov(),
+                                    model.drift_hessians(x, t))
+    return out
+
+
+def _reference_point_predict(x, t, dt, model):
+    """The per-point order-1.5 Taylor map the batched map replaced."""
+    v = model.drift(x, t)
+    return x + dt * v + 0.5 * dt * dt * _reference_l0(model, x, t)
+
+
+def _two_branch_update(belief, model, variant, t1):
+    """Reference time-update: each cubature point goes through the
+    per-point map in a column loop, and the noise blocks are built in two
+    branches: every substep with its own length (proper-it15), or once, at
+    the first substep, with the whole interval's length (paper-faithful)."""
     d = model.dim
     total = t1 - belief.time
     dt = total / variant.m
@@ -43,21 +66,59 @@ def _two_branch_update(belief, model, variant, t1, ops):
         pts = np.concatenate([x[:, None] + spread, x[:, None] - spread], axis=1)
         prop = np.empty_like(pts)
         for i in range(2 * d):
-            prop[:, i] = it15_point_predict(pts[:, i], t, dt, ops)
+            prop[:, i] = _reference_point_predict(pts[:, i], t, dt, model)
         x_new = prop.mean(axis=1)
         blocks = [w * (prop - x_new[:, None])]
         if variant.mode == "proper-it15":
-            L = ops.lv(x_new, t)
+            L = model.drift_jacobian(x_new, t) @ sqrt_k
             blocks += [np.sqrt(dt) * (sqrt_k + 0.5 * dt * L),
                        np.sqrt(dt**3 / 12.0) * L]
         elif s == 0:
-            L = ops.lv(x_new, t)
+            L = model.drift_jacobian(x_new, t) @ sqrt_k
             blocks += [np.sqrt(total) * (sqrt_k + 0.5 * total * L),
                        np.sqrt(total**3 / 12.0) * L]
         M = tria(np.concatenate(blocks, axis=1))
         x = x_new
         t += dt
     return x, M
+
+
+def _assert_matches_reference(belief, model, variant, t1):
+    out = cdckf_time_update(belief, model, variant, t1, It15Operators(model))
+    mean, factor = _two_branch_update(belief, model, variant, t1)
+    assert np.array_equal(out.mean, mean)
+    assert np.array_equal(out.factor, factor)
+
+
+def _quadratic_model(d, seed):
+    """A model whose Hessians and process noise are both dense, so the
+    Hessian term of L0 is a full d*d contraction for every component."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    B = rng.standard_normal((d, d, d))
+    B = B + B.transpose(0, 2, 1)
+    return SdeModel(
+        dim=d,
+        drift=lambda x, t=0.0: A @ x + 0.5 * np.einsum("ipq,p,q->i", B, x, x),
+        diffusion_factor=np.tril(rng.standard_normal((d, d))),
+        drift_jacobian=lambda x, t=0.0: A + B @ x,
+        drift_hessians=lambda x, t=0.0: B.copy(),
+    )
+
+
+def _counting(model):
+    """The model with its drift, Jacobian and Hessians counted per call."""
+    calls = {"drift": 0, "jacobian": 0, "hessians": 0}
+
+    def counted(name, fn):
+        def wrapped(x, t):
+            calls[name] += 1
+            return fn(x, t)
+        return wrapped
+
+    return replace(model, drift=counted("drift", model.drift),
+                   drift_jacobian=counted("jacobian", model.drift_jacobian),
+                   drift_hessians=counted("hessians", model.drift_hessians)), calls
 
 
 class TestOperators:
@@ -110,6 +171,21 @@ class TestPointPredict:
         ops = It15Operators(_benchmark().as_sde())
         with pytest.raises(ValueError):
             it15_point_predict(np.zeros(2), 0.0, 0.0, ops)
+
+    @pytest.mark.parametrize("model", [RadarScenario().sde_model(),
+                                       _quadratic_model(4, 11)])
+    def test_rows_equal_the_per_point_map(self, model):
+        ops = It15Operators(model)
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((2 * model.dim, model.dim))
+        rows = it15_point_predict(pts, 1.5, 0.25, ops)
+        assert rows.shape == pts.shape
+        for p, row in zip(pts, rows):
+            want = _reference_point_predict(p, 1.5, 0.25, model)
+            assert np.array_equal(row, want)
+            assert np.array_equal(it15_point_predict(p, 1.5, 0.25, ops), want)
+            assert np.array_equal(it15_point_predict(p[None, :], 1.5, 0.25, ops),
+                                  want[None, :])
 
 
 class TestTimeUpdate:
@@ -194,18 +270,56 @@ class TestTimeUpdate:
                                  CdckfVariant("proper-it15", 2), 0.0) is belief
 
     @pytest.mark.parametrize("mode", ["paper-faithful", "proper-it15"])
-    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("m", [1, 3, 64])
     def test_noise_blocks_match_two_branch_reference(self, mode, m):
+        # the initial belief, then factors with mixed columns
         sc = RadarScenario()
         model = sc.sde_model()
-        ops = It15Operators(model)
-        belief = GaussianBelief(mean=sc.initial_state(),
-                                factor=cholesky_lower(sc.initial_covariance()))
-        variant = CdckfVariant(mode, m)
-        out = cdckf_time_update(belief, model, variant, 4.0, ops)
-        mean, factor = _two_branch_update(belief, model, variant, 4.0, ops)
-        assert np.array_equal(out.mean, mean)
-        assert np.array_equal(out.factor, factor)
+        factor0 = cholesky_lower(sc.initial_covariance())
+        rng = np.random.default_rng(m)
+        factors = [factor0] + [factor0 @ (np.eye(7) + 0.3 * rng.standard_normal((7, 7)))
+                               for _ in range(3)]
+        for factor in factors:
+            belief = GaussianBelief(mean=sc.initial_state(), factor=factor)
+            _assert_matches_reference(belief, model, CdckfVariant(mode, m), 4.0)
+
+    @pytest.mark.parametrize("mode", ["paper-faithful", "proper-it15"])
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    @pytest.mark.parametrize("scenario", [linear_fp_scenario, oscillator_scenario])
+    def test_linear_systems_match_reference(self, scenario, mode, m):
+        sc = scenario()
+        belief = _belief(sc.sigma0, sc.mean0)
+        _assert_matches_reference(belief, sc.sde_model(), CdckfVariant(mode, m),
+                                  sc.t_end)
+
+    @pytest.mark.parametrize("mode", ["paper-faithful", "proper-it15"])
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    def test_noise_free_transport_matches_reference(self, mode, m):
+        # K = 0: no Hessian term
+        ts = TransportScenario(0.5, 1.0)
+        belief = _belief(ts.sigma0(), [0.2, -0.1])
+        _assert_matches_reference(belief, ts.sde_model(), CdckfVariant(mode, m), 1.0)
+
+    @pytest.mark.parametrize("mode", ["paper-faithful", "proper-it15"])
+    def test_dense_hessian_term_matches_reference(self, mode):
+        model = _quadratic_model(4, 11)
+        belief = _belief(0.01 * np.eye(4), [0.1, -0.2, 0.05, 0.3])
+        _assert_matches_reference(belief, model, CdckfVariant(mode, 3), 0.1)
+
+    @pytest.mark.parametrize("mode", ["paper-faithful", "proper-it15"])
+    @pytest.mark.parametrize("scenario", [RadarScenario(), TransportScenario(0.5, 1.0)])
+    def test_model_call_counts(self, scenario, mode):
+        # per substep: two drift calls per cubature point (the map's and
+        # L0's), one Jacobian per point plus one per noise-block build, and
+        # one Hessian per point only when the process noise is nonzero
+        model, calls = _counting(scenario.sde_model())
+        d, m = model.dim, 5
+        belief = GaussianBelief(mean=np.linspace(1.0, 2.0, d), factor=np.eye(d))
+        cdckf_time_update(belief, model, CdckfVariant(mode, m), 2.0)
+        builds = m if mode == "proper-it15" else 1
+        assert calls["drift"] == 2 * 2 * d * m
+        assert calls["jacobian"] == 2 * d * m + builds
+        assert calls["hessians"] == (2 * d * m if model.has_noise else 0)
 
     def test_bad_variant_args(self):
         with pytest.raises(ValueError):

@@ -193,6 +193,11 @@ class TestConfigAndErrors:
         ["appendix-a", "--factorizations", "0"],
         ["radar", "--filters", ","],
         ["convergence", "linear-fp", "--methods", ","],
+        ["radar", "--tol-abs", "0"],
+        ["radar", "--tol-rel", "-1e-8"],
+        ["radar", "--tol-rel", "nan"],
+        ["appendix-a", "--t-end", "-1"],
+        ["appendix-a", "--a", "0"],
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

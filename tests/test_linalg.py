@@ -84,6 +84,26 @@ class TestTria:
         with pytest.raises(ValueError):
             tria(np.ones((3, 2)))
 
+    def test_tria_equals_numpy_qr(self):
+        # the numpy QR route tria replaced: R of A.T, transposed, sign-fixed
+        def reference(a):
+            d = a.shape[0]
+            L = np.linalg.qr(a.T, mode="r").T[:d, :d].copy()
+            signs = np.sign(np.diag(L))
+            signs[signs == 0.0] = 1.0
+            return L * signs[np.newaxis, :]
+
+        rng = np.random.default_rng(4)
+        cases = [np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                 np.zeros((3, 5))]
+        for _ in range(500):
+            d = int(rng.integers(1, 9))
+            A = rng.standard_normal((d, int(rng.integers(d, d + 31))))
+            A[:, rng.random(A.shape[1]) < 0.2] = 0.0    # some zero columns
+            cases.append(A)
+        for A in cases:
+            assert np.array_equal(tria(A), reference(A))
+
 
 class TestSolveTranspose:
     def test_identity(self):

@@ -11,9 +11,12 @@ from pathlib import Path
 import pytest
 
 import cdfilter.bench
+import cdfilter.cdckf
 import cdfilter.cli  # noqa: F401 - the tracer swaps names in loaded modules
 import cdfilter.lskf
+import cdfilter.measurement
 import cdfilter.scenarios
+from cdfilter import GaussianBelief, cholesky_lower
 
 _LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -41,3 +44,28 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     assert (cdfilter.bench._trial_worker, cdfilter.bench.ProcessPoolExecutor,
             cdfilter.bench.run_grid, cdfilter.lskf.integrate,
             cdfilter.scenarios.RadarScenario.sde_model) == originals
+
+
+def test_tracer_sees_the_cubature_layers(tmp_path):
+    # `perfbench/run.py --trace 1` fails when a required layer records no
+    # calls; these are the ones the cubature filter and the measurement
+    # update must reach through the swapped names
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer(tmp_path / "spans")
+    tracer.install()
+    try:
+        sc = cdfilter.scenarios.RadarScenario()
+        model = sc.sde_model()
+        belief = GaussianBelief(mean=sc.initial_state(),
+                                factor=cholesky_lower(sc.initial_covariance()))
+        belief = cdfilter.cdckf.cdckf_time_update(
+            belief, model, cdfilter.cdckf.CdckfVariant("paper-faithful", 2), sc.interval)
+        y = cdfilter.scenarios.radar_measure(sc.initial_state())
+        cdfilter.measurement.measurement_update(belief, sc.measurement_model(), y)
+        calls = {name: stats[0] for name, stats in tracer.layers.items()}
+    finally:
+        tracer.uninstall()
+    for name in ("cdckf.time_update", "cdckf.point_predict", "linalg.tria",
+                 "models.drift", "models.jacobian", "models.hessians",
+                 "measurement.update"):
+        assert calls[name] > 0, name
