@@ -1,6 +1,8 @@
 """Monte-Carlo benchmark harness for the radar tracking problem, plus the
 two moment-convergence studies and the Appendix-A variant comparison.
 ``make_advance`` is the one map from a filter id to its time-update.
+``BenchConfig``, ``check_filters``, ``convergence_study`` and
+``run_appendix_a`` raise ``ValueError`` for a bad argument before any work.
 
 Trials are deterministic: trial ``i`` always uses seed ``base_seed + i``,
 so results are independent of execution order and of how many workers run
@@ -22,13 +24,16 @@ from .errors import AllTrialsDivergent, CdFilterError
 from .lskf import VARIANTS, lskf_time_update
 from .measurement import measurement_update
 from .models import GaussianBelief, SdeModel
-from .ode import SolverSpec
+from .ode import ADAPTIVE, SolverSpec
 from .scenarios import (RadarScenario, TransportScenario, linear_fp_scenario,
                         make_trial, oscillator_scenario)
 from .linalg import cholesky_lower, lyapunov_oracle
 
 FILTER_IDS = ("lskf-rk1", "lskf-rk2", "lskf-rk4", "lskf-adaptive", "cdckf",
               "cdckf-proper")
+
+# the moment-convergence problems, by name
+PROBLEMS = {"linear-fp": linear_fp_scenario, "oscillator": oscillator_scenario}
 
 # a trial diverges once its position error exceeds this (metres)
 DIVERGENCE_THRESHOLD = 500.0
@@ -54,16 +59,35 @@ class BenchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # make_advance rejects an unknown filter id or variant, m < 1 and
-        # a non-positive adaptive tolerance
-        model = RadarScenario().sde_model()
-        for f in self.filters:
-            for m in self.m_values:
-                make_advance(f, model, m, self.variant, self.abs_tol, self.rel_tol)
+        if not (self.omega_deg and self.intervals):
+            raise ValueError("omega_deg and intervals must not be empty")
+        for omega in self.omega_deg:
+            for interval in self.intervals:
+                self.scenario(omega, interval)
+        SolverSpec(ADAPTIVE, abs_tol=self.abs_tol, rel_tol=self.rel_tol)
+        check_filters(self.filters, self.m_values, self.variant)
 
     def scenario(self, omega_deg: float, interval: float) -> RadarScenario:
         return RadarScenario(omega0_deg=omega_deg, interval=interval,
                              sigma2=self.sigma2, em_substeps=self.em_substeps)
+
+    def metadata(self) -> dict:
+        """The run's conventions, as recorded in a manifest."""
+        return {
+            "base_seed": self.base_seed,
+            "trials": self.trials,
+            "lskf_variant": self.variant,
+            "adaptive_abs_tol": self.abs_tol,
+            "adaptive_rel_tol": self.rel_tol,
+            "divergence_rule": "instantaneous position error norm > "
+                               f"{DIVERGENCE_THRESHOLD} m, or non-finite "
+                               "value, or solver failure; divergent trials are "
+                               "excluded from RMSE and counted separately",
+            "sigma2": self.sigma2,
+            "angle_wrapping": "azimuth/elevation innovations wrapped to (-pi, pi]",
+            "initialization": "truth and filter both start at x0; Sigma0 is the assumed guess covariance",
+            "seed_rule": "trial i uses base_seed + i",
+        }
 
 
 @dataclass(frozen=True)
@@ -74,12 +98,6 @@ class TrialMetrics:
     divergent: bool
     wall_s: float
     drift_evals: int
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: list               # one dict per (filter, omega, interval, m) cell
-    metadata: dict
 
 
 def _counting_model(model: SdeModel):
@@ -105,7 +123,8 @@ def make_advance(filter_id: str, model: SdeModel, m: int,
     ``m < 1``.  ``variant`` is the level-set center-velocity mode.
     """
     if filter_id not in FILTER_IDS:
-        raise ValueError(f"unknown filter {filter_id!r}")
+        raise ValueError(f"unknown filter {filter_id!r} "
+                         f"(choose from {', '.join(FILTER_IDS)})")
     if m < 1:
         raise ValueError("m must be >= 1")
     if variant not in VARIANTS:
@@ -120,6 +139,19 @@ def make_advance(filter_id: str, model: SdeModel, m: int,
     else:
         spec = SolverSpec("fixed-" + filter_id.removeprefix("lskf-"), steps=m)
     return lambda b, t1: lskf_time_update(b, model, variant, t1, spec)
+
+
+def check_filters(filter_ids, m_values, variant: str = "averaged"):
+    """Reject an empty list, an unknown id or variant and ``m < 1`` for
+    every (id, m) pair, before any filter runs."""
+    if not filter_ids:
+        raise ValueError("no filter id given")
+    if not m_values:
+        raise ValueError("no m value given")
+    model = RadarScenario().sde_model()
+    for f in filter_ids:
+        for m in m_values:
+            make_advance(f, model, m, variant)
 
 
 def _filter_loop(advance, mm, traj, belief, threshold):
@@ -198,9 +230,10 @@ def _trial_worker(args):
     ]
 
 
-def run_grid(config: BenchConfig, jobs: int = 1) -> BenchReport:
+def run_grid(config: BenchConfig, jobs: int = 1) -> list:
     """Sweep (filter, omega, interval, m), ``trials`` Monte-Carlo runs per
-    cell; trajectories are shared across filters within a cell/trial."""
+    cell; trajectories are shared across filters within a cell/trial.
+    Returns one row dict per (filter, omega, interval, m) cell."""
     cells = [(f, m) for f in config.filters for m in config.m_values]
     rows = []
     for omega in config.omega_deg:
@@ -215,7 +248,7 @@ def run_grid(config: BenchConfig, jobs: int = 1) -> BenchReport:
             for c, (f, m) in enumerate(cells):
                 metrics = [per_trial[i][c] for i in range(config.trials)]
                 rows.append(_aggregate(config, f, m, omega, interval, metrics))
-    return BenchReport(rows=rows, metadata=_metadata(config))
+    return rows
 
 
 def _aggregate(config, filter_id, m, omega, interval, metrics):
@@ -241,24 +274,6 @@ def _aggregate(config, filter_id, m, omega, interval, metrics):
     return row
 
 
-def _metadata(config: BenchConfig) -> dict:
-    return {
-        "base_seed": config.base_seed,
-        "trials": config.trials,
-        "lskf_variant": config.variant,
-        "adaptive_abs_tol": config.abs_tol,
-        "adaptive_rel_tol": config.rel_tol,
-        "divergence_rule": "instantaneous position error norm > "
-                           f"{DIVERGENCE_THRESHOLD} m, or non-finite "
-                           "value, or solver failure; divergent trials are "
-                           "excluded from RMSE and counted separately",
-        "sigma2": config.sigma2,
-        "angle_wrapping": "azimuth/elevation innovations wrapped to (-pi, pi]",
-        "initialization": "truth and filter both start at x0; Sigma0 is the assumed guess covariance",
-        "seed_rule": "trial i uses base_seed + i",
-    }
-
-
 # ---------------------------------------------------------------------------
 # moment-convergence studies and the Appendix-A variant comparison
 # ---------------------------------------------------------------------------
@@ -270,10 +285,11 @@ def convergence_study(problem: str, methods, step_counts):
     ids.  Returns one row per (method, steps): dt, mean-error L2 norm,
     covariance-error Frobenius.
     """
-    problems = {"linear-fp": linear_fp_scenario, "oscillator": oscillator_scenario}
-    if problem not in problems:
-        raise ValueError(f"unknown problem {problem!r}")
-    sc = problems[problem]()
+    if problem not in PROBLEMS:
+        raise ValueError(f"unknown problem {problem!r} "
+                         f"(choose from {', '.join(PROBLEMS)})")
+    check_filters(methods, step_counts)
+    sc = PROBLEMS[problem]()
     ref_mean, ref_cov = lyapunov_oracle(sc.system, sc.mean0, sc.sigma0,
                                         sc.t_end, 1e-13)
     model = sc.sde_model()
@@ -294,10 +310,20 @@ def convergence_study(problem: str, methods, step_counts):
     return rows
 
 
+def check_appendix_a(factorizations: int, a: float, b: float,
+                     t_end: float) -> TransportScenario:
+    """Reject bad Appendix-A arguments; returns the transport flow."""
+    if factorizations < 1:
+        raise ValueError("factorizations must be >= 1")
+    if not t_end >= 0:
+        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    return TransportScenario(a, b)
+
+
 def run_appendix_a(factorizations: int, seed: int, a: float, b: float,
                    t_end: float):
     """Compare center-velocity variants over random covariance factors."""
-    ts = TransportScenario(a, b)
+    ts = check_appendix_a(factorizations, a, b, t_end)
     model = ts.sde_model()
     base_factor = cholesky_lower(ts.sigma0())
     rng = np.random.default_rng(seed)

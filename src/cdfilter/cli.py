@@ -9,13 +9,14 @@ separate ``timing.json`` sidecar so the result files stay deterministic.
 
 Configuration can come from a flat INI-style file (section = subcommand,
 keys = long flag names); explicit flags override file values, and an
-unknown key or an unreadable file is a usage error, as is an unknown
-filter id, an empty id list, a count below 1, a measurement interval
-outside (0, horizon], a tolerance or transport scale that is not positive
-and a negative end time.  The environment variable ``CDFILTER_SEED``
-overrides every ``--seed``, and the manifest records the seed that ran.
+unknown key or an unreadable file is a usage error.  The environment
+variable ``CDFILTER_SEED`` overrides every ``--seed``, and the manifest
+records the seed that ran.  The CLI only casts values: any value the
+library rejects is a usage error reported before anything is written,
+and a library caller gets the same ``ValueError``.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure (a numerical ``CdFilterError``
+or an I/O error), 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bench import (FILTER_IDS, BenchConfig, _metadata, convergence_study,
-                    run_appendix_a, run_grid)
+from .bench import (FILTER_IDS, PROBLEMS, BenchConfig, check_appendix_a,
+                    check_filters, convergence_study, run_appendix_a, run_grid)
 from .lskf import VARIANTS
-from .scenarios import RadarScenario
 
 RADAR_CSV_COLUMNS = ("filter", "variant", "omega_deg", "interval_s", "m",
                      "trials", "divergent", "rmse_pos_m", "rmse_vel_mps",
@@ -76,50 +76,12 @@ def _floats(text: str):
     return tuple(float(v) for v in text.split(","))
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _ints(text: str):
+    return tuple(int(v) for v in text.split(","))
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _non_negative(text: str) -> float:
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _counts(text: str):
-    return tuple(_count(v) for v in text.split(","))
-
-
-def _intervals(text: str):
-    values = _floats(text)
-    for v in values:
-        try:
-            RadarScenario(interval=v)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"interval {v:g}: {exc}") from None
-    return values
-
-
-def _filter_ids(text: str):
-    ids = tuple(v.strip() for v in text.split(",") if v.strip())
-    if not ids:
-        raise argparse.ArgumentTypeError("no filter id given")
-    for v in ids:
-        if v not in FILTER_IDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown filter id {v!r} (choose from {', '.join(FILTER_IDS)})")
-    return ids
+def _ids(text: str):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,35 +95,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     conv = sub.add_parser("convergence", help="time-update convergence table")
-    conv.add_argument("problem", choices=("linear-fp", "oscillator"))
-    conv.add_argument("--methods", type=_filter_ids,
+    conv.add_argument("problem", choices=PROBLEMS)
+    conv.add_argument("--methods", type=_ids,
                       default=tuple(f for f in FILTER_IDS if f != "lskf-adaptive"))
-    conv.add_argument("--steps", type=_counts,
+    conv.add_argument("--steps", type=_ints,
                       default=(4, 8, 16, 32, 64, 128, 256, 512, 1024))
     conv.add_argument("--out", default="out")
 
     radar = sub.add_parser("radar", help="Monte-Carlo radar tracking grid")
     radar.add_argument("--omega-deg", type=_floats, default=(6.0, 12.0, 24.0))
-    radar.add_argument("--interval-s", type=_intervals,
+    radar.add_argument("--interval-s", type=_floats,
                        default=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
-    radar.add_argument("--m", type=_counts, default=(1,))
-    radar.add_argument("--filters", type=_filter_ids,
-                       default=("lskf-adaptive", "cdckf"))
-    radar.add_argument("--trials", type=_count, default=100)
+    radar.add_argument("--m", type=_ints, default=(1,))
+    radar.add_argument("--filters", type=_ids, default=("lskf-adaptive", "cdckf"))
+    radar.add_argument("--trials", type=int, default=100)
     radar.add_argument("--seed", type=int, default=20210001)
     radar.add_argument("--variant", choices=VARIANTS, default="averaged")
-    radar.add_argument("--tol-abs", type=_positive, default=1e-8)
-    radar.add_argument("--tol-rel", type=_positive, default=1e-8)
+    radar.add_argument("--tol-abs", type=float, default=1e-8)
+    radar.add_argument("--tol-rel", type=float, default=1e-8)
     radar.add_argument("--sigma2", type=float, default=7e-4)
     radar.add_argument("--jobs", type=int, default=1)
     radar.add_argument("--out", default="out")
 
     appa = sub.add_parser("appendix-a", help="center-velocity variant comparison")
-    appa.add_argument("--factorizations", type=_count, default=1024)
+    appa.add_argument("--factorizations", type=int, default=1024)
     appa.add_argument("--seed", type=int, default=20210001)
-    appa.add_argument("--a", type=_positive, default=0.5)
-    appa.add_argument("--b", type=_positive, default=1.0)
-    appa.add_argument("--t-end", type=_non_negative, default=1.0)
+    appa.add_argument("--a", type=float, default=0.5)
+    appa.add_argument("--b", type=float, default=1.0)
+    appa.add_argument("--t-end", type=float, default=1.0)
     appa.add_argument("--out", default="out")
     return parser
 
@@ -212,6 +173,7 @@ def _start_run(args, command: str, table: str, decisions: dict) -> Path:
 
 
 def cmd_convergence(args) -> int:
+    check_filters(args.methods, args.steps)
     fname = f"convergence_{args.problem}.csv"
     out = _start_run(args, "convergence", fname, {
         "reference": "adaptive Lyapunov integration at tolerance 1e-13",
@@ -236,16 +198,16 @@ def cmd_radar(args) -> int:
         sigma2=args.sigma2,
     )
     out = _start_run(args, "radar", "radar.csv",
-                     dict(_metadata(config), seed=args.seed))
+                     dict(config.metadata(), seed=args.seed))
     t0 = time.perf_counter()
-    report = run_grid(config, jobs=args.jobs)
-    _write_csv(out / "radar.csv", RADAR_CSV_COLUMNS, report.rows)
+    rows = run_grid(config, jobs=args.jobs)
+    _write_csv(out / "radar.csv", RADAR_CSV_COLUMNS, rows)
     # timings are non-deterministic; they live outside the result files
     timing = {
         "total_s": time.perf_counter() - t0,
         "wall_ms_per_trial": {
             f"{r['filter']}/omega{r['omega_deg']:g}/T{r['interval_s']:g}/m{r['m']}":
-                r["wall_ms_per_trial"] for r in report.rows
+                r["wall_ms_per_trial"] for r in rows
         },
     }
     with open(out / "timing.json", "w") as fh:
@@ -254,6 +216,7 @@ def cmd_radar(args) -> int:
 
 
 def cmd_appendix_a(args) -> int:
+    check_appendix_a(args.factorizations, args.a, args.b, args.t_end)
     out = _start_run(args, "appendix-a", "appendix_a.csv", {
         "flow": "v(x, y) = (0, x^2), volume-preserving characteristics oracle",
         "error_metric": "grid L2 distance between estimate density and exact pushforward",
@@ -302,7 +265,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"cdfilter: error: {exc}", file=sys.stderr)
-        return 1
+        # a rejected argument is a ValueError, a numerical failure a CdFilterError
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -33,16 +33,20 @@ def wrap_angles(residual: np.ndarray, flags) -> np.ndarray:
         return residual
     out = residual.copy()
     wrapped = -(np.mod(-out[flags] + np.pi, 2.0 * np.pi) - np.pi)
-    out[flags] = wrapped
+    # np.mod rounds a tiny negative remainder up to 2 pi, which lands on -pi
+    out[flags] = np.where(wrapped == -np.pi, np.pi, wrapped)
     return out
 
 
 def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarray):
     """Condition a belief on one measurement ``y``.
 
-    Returns ``(posterior_belief, UpdateDiagnostics)``.
+    Returns ``(posterior_belief, UpdateDiagnostics)``; a non-finite entry
+    in ``y`` is a ``ValueError``.
     """
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"measurement has a non-finite entry: {y}")
     d = belief.dim
     nz = mm.meas_dim
     mean, M = belief.mean, belief.factor

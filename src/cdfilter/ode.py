@@ -57,7 +57,7 @@ class SolverSpec:
             raise ValueError(f"unknown solver kind {self.kind!r}")
         if self.kind in FIXED_KINDS and self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.kind == ADAPTIVE and (self.abs_tol <= 0 or self.rel_tol <= 0):
+        if self.kind == ADAPTIVE and not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("adaptive tolerances must be positive")
 
 

@@ -85,10 +85,13 @@ class RadarScenario:
     em_substeps: int = 1000         # truth-simulation substeps per interval
 
     def __post_init__(self):
-        if self.interval <= 0 or self.horizon <= 0:
-            raise ValueError("interval and horizon must be positive")
-        if self.interval > self.horizon:
-            raise ValueError("interval exceeds the horizon")
+        if not 0 < self.interval <= self.horizon:
+            raise ValueError(f"interval {self.interval:g} s is outside "
+                             f"(0, {self.horizon:g}] (the horizon)")
+        if not (math.isfinite(self.omega0_deg) and 0 <= self.sigma2 < math.inf
+                and self.em_substeps >= 1):
+            raise ValueError("omega0_deg must be finite, sigma2 finite and >= 0, "
+                             "and em_substeps >= 1")
 
     @property
     def omega0(self) -> float:
@@ -232,8 +235,8 @@ class TransportScenario:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be positive")
+        if not (self.a > 0 and self.b > 0):
+            raise ValueError(f"a and b must be positive, got a={self.a}, b={self.b}")
 
     def sde_model(self) -> SdeModel:
         def hess(x, t=0.0):

@@ -15,17 +15,14 @@ from cdfilter import (
     GaussianBelief,
     LinearSystem,
     MeasurementModel,
-    OdeProblem,
     SolverSpec,
     cdckf_time_update,
     cholesky_lower,
     count_drift_evals,
-    integrate,
     lskf_rhs,
     lskf_time_update,
     lyapunov_oracle,
     measurement_update,
-    order_of_accuracy,
 )
 from cdfilter.bench import BenchConfig, run_appendix_a, run_grid
 from cdfilter.models import SdeModel
@@ -170,24 +167,17 @@ def test_acceptance_4_measurement_update_oracle():
             f"worst deviation {worst:.2e}, {elapsed:.1f} s")
 
 
-# module-scope cache of the acceptance-5 sweep, one entry per (filter, m)
-_GRID_RESULTS = {}
-
-
-def _rmse_grid(filter_id, m):
-    key = (filter_id, m)
-    if key not in _GRID_RESULTS:
-        cfg = BenchConfig(omega_deg=(6.0, 12.0, 24.0), intervals=(2.0, 4.0, 6.0),
-                          m_values=(m,), filters=(filter_id,), trials=25)
-        _GRID_RESULTS[key] = {(r["omega_deg"], r["interval_s"]): r
-                              for r in run_grid(cfg).rows}
-    return _GRID_RESULTS[key]
-
-
 def test_acceptance_5_radar_study():
     t0 = time.perf_counter()
-    lskf = _rmse_grid("lskf-adaptive", 1)
-    cdckf = _rmse_grid("cdckf", 64)
+    # one sweep simulates each trajectory once for both filters;
+    # lskf-adaptive ignores m, so its rows equal the m = 1 rows
+    cfg = BenchConfig(omega_deg=(6.0, 12.0, 24.0), intervals=(2.0, 4.0, 6.0),
+                      m_values=(64,), filters=("lskf-adaptive", "cdckf"), trials=25)
+    rows = run_grid(cfg)
+    lskf = {(r["omega_deg"], r["interval_s"]): r
+            for r in rows if r["filter"] == "lskf-adaptive"}
+    cdckf = {(r["omega_deg"], r["interval_s"]): r
+             for r in rows if r["filter"] == "cdckf"}
     ok = True
     lines = []
     for cell in sorted(lskf):
@@ -235,7 +225,7 @@ def test_acceptance_6_subdivision_invariance():
 def test_acceptance_7_divergence_reproduction():
     cfg = BenchConfig(omega_deg=(24.0,), intervals=(6.0,), m_values=(1,),
                       filters=("cdckf",), trials=25)
-    row = run_grid(cfg).rows[0]
+    row = run_grid(cfg)[0]
     _report(7, row["divergent"] == 25,
             f"divergent {row['divergent']}/25")
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from cdfilter import AllTrialsDivergent, GaussianBelief, RadarScenario, cholesky_lower
+import cdfilter.bench as bench
+from cdfilter import (AllTrialsDivergent, GaussianBelief, RadarScenario, SolverSpec,
+                      cholesky_lower)
 from cdfilter.bench import (
     FILTER_IDS,
     BenchConfig,
@@ -10,6 +12,7 @@ from cdfilter.bench import (
     convergence_study,
     make_advance,
     rmse,
+    run_appendix_a,
     run_grid,
     run_trial,
 )
@@ -46,9 +49,71 @@ class TestConfig:
             with pytest.raises(ValueError):
                 BenchConfig(filters=("lskf-adaptive",), **tol)
 
+    @pytest.mark.parametrize("tol", [{"abs_tol": np.nan}, {"rel_tol": np.nan}])
+    def test_nan_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            SolverSpec("adaptive-embedded", **tol)
+        with pytest.raises(ValueError):
+            make_advance("lskf-adaptive", RadarScenario().sde_model(), 1, **tol)
+        with pytest.raises(ValueError):
+            BenchConfig(**tol)
+
     def test_known_filter_ids(self):
         assert set(FILTER_IDS) == {"lskf-rk1", "lskf-rk2", "lskf-rk4",
                                    "lskf-adaptive", "cdckf", "cdckf-proper"}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a trial, a time-update or an oracle starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("make_trial", "lskf_time_update", "cdckf_time_update",
+                 "lyapunov_oracle"):
+        monkeypatch.setattr(bench, name, refuse)
+
+
+class TestRejectedBeforeWork:
+    """A bad run value raises ValueError at its library entry point before
+    any row or trial is computed."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"intervals": (0.0,)},
+        {"intervals": (121.0,)},
+        {"intervals": (np.nan,)},
+        {"intervals": ()},
+        {"omega_deg": ()},
+        {"filters": ()},
+        {"m_values": ()},
+        {"filters": ("cdckf",), "rel_tol": np.nan},
+        {"omega_deg": (np.nan,)},
+        {"sigma2": np.nan},
+        {"em_substeps": 0},
+    ])
+    def test_bench_config(self, no_work, kwargs):
+        with pytest.raises(ValueError):
+            BenchConfig(**kwargs)
+
+    @pytest.mark.parametrize("methods, steps", [
+        ([], [8]),
+        (["lskf-rk2"], []),
+        (["lskf-rk2"], [8, 0]),
+    ])
+    def test_convergence_study(self, no_work, methods, steps):
+        with pytest.raises(ValueError):
+            convergence_study("linear-fp", methods, steps)
+
+    @pytest.mark.parametrize("factorizations, t_end", [
+        (0, 1.0), (4, -1.0), (4, np.nan),
+    ])
+    def test_appendix_a(self, no_work, factorizations, t_end):
+        with pytest.raises(ValueError):
+            run_appendix_a(factorizations, 1, 0.5, 1.0, t_end)
+
+    def test_unknown_id_message_lists_the_ids(self):
+        with pytest.raises(ValueError, match="cdckf-proper"):
+            make_advance("ekf", RadarScenario().sde_model(), 1)
 
 
 class TestRmse:
@@ -118,9 +183,9 @@ class TestRunTrial:
 class TestRunGrid:
     def test_single_trial_matches_run_trial(self):
         cfg = BenchConfig(trials=1, **_FAST)
-        report = run_grid(cfg)
-        assert len(report.rows) == 1
-        row = report.rows[0]
+        rows = run_grid(cfg)
+        assert len(rows) == 1
+        row = rows[0]
         t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
         np.testing.assert_allclose(row["rmse_pos_m"],
                                    np.sqrt(t.sq_pos.mean()), rtol=1e-12)
@@ -130,14 +195,13 @@ class TestRunGrid:
         cfg = BenchConfig(trials=3, **_FAST)
         serial = run_grid(cfg, jobs=1)
         parallel = run_grid(cfg, jobs=2)
-        for a, b in zip(serial.rows, parallel.rows):
+        for a, b in zip(serial, parallel):
             for key in ("rmse_pos_m", "rmse_vel_mps", "rmse_turn_radps",
                         "divergent"):
                 assert abs(a[key] - b[key]) <= 1e-12 * max(1.0, abs(a[key]))
 
     def test_metadata_records_conventions(self):
-        report = run_grid(BenchConfig(trials=1, **_FAST))
-        md = report.metadata
+        md = BenchConfig(trials=1, **_FAST).metadata()
         assert md["base_seed"] == 20210001
         assert "base_seed + i" in md["seed_rule"]
         assert "500" in md["divergence_rule"]
@@ -151,7 +215,7 @@ class TestRunGrid:
             cfg = BenchConfig(omega_deg=(6.0,), intervals=(6.0,),
                               m_values=(4,), filters=("cdckf",),
                               trials=100, em_substeps=sub)
-            vals[sub] = run_grid(cfg).rows[0]
+            vals[sub] = run_grid(cfg)[0]
         for q in ("rmse_pos_m", "rmse_vel_mps", "rmse_turn_radps"):
             rel = abs(vals[1000][q] - vals[2000][q]) / vals[1000][q]
             assert rel <= 0.02, (q, rel)

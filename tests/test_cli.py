@@ -88,7 +88,7 @@ class TestRadarCommand:
 
         cfg = BenchConfig(omega_deg=(6.0,), intervals=(6.0,), m_values=(2,),
                           filters=("cdckf",), trials=2, em_substeps=50)
-        rows = run_grid(cfg).rows
+        rows = run_grid(cfg)
         _write_csv(tmp_path / "t.csv", RADAR_CSV_COLUMNS, rows)
         back = read_csv(tmp_path / "t.csv")
         # 17 significant digits: the double survives text exactly

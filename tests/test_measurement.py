@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cdfilter import (
     DegenerateInnovationCovariance,
@@ -40,6 +44,17 @@ class TestWrapAngles:
                                    [np.pi], atol=1e-12)
         np.testing.assert_allclose(wrap_angles(np.array([3 * np.pi]), flags),
                                    [np.pi], atol=1e-12)
+
+    @given(st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([3 * np.pi, -3 * np.pi,
+                         np.nextafter(np.pi, 4.0), np.nextafter(-np.pi, -4.0)])))
+    @example(np.pi)
+    @example(-np.pi)
+    def test_lands_in_half_open_interval_and_is_congruent(self, r):
+        w = wrap_angles(np.array([r]), np.array([True]))[0]
+        assert -np.pi < w <= np.pi
+        assert abs(math.remainder(w - r, 2 * np.pi)) <= 1e-12 * max(1.0, abs(r))
 
     def test_only_flagged_components_touched(self):
         r = np.array([7.0, 7.0])
@@ -133,6 +148,17 @@ class TestMeasurementUpdate:
         mm = _linear_model(np.eye(2)[:1], np.zeros((1, 1)))
         with pytest.raises(DegenerateInnovationCovariance):
             measurement_update(belief, mm, np.array([1.0]))
+
+    @given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 1))
+    def test_non_finite_measurement_rejected(self, bad, index):
+        def h(x):
+            raise AssertionError("h evaluated before y was checked")
+
+        mm = MeasurementModel(meas_dim=2, h=h, noise_factor=np.eye(2))
+        y = np.zeros(2)
+        y[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            measurement_update(GaussianBelief(np.zeros(2), np.eye(2)), mm, y)
 
     def test_nonlinear_measurement_uses_cubature_points(self):
         # h(x) = x^2 on N(0, 1): predicted measurement is the cubature
