@@ -13,6 +13,7 @@ reported as a separate count.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -57,8 +58,8 @@ class BenchConfig:
     em_substeps: int = 1000
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not (self.omega_deg and self.intervals):
             raise ValueError("omega_deg and intervals must not be empty")
         for omega in self.omega_deg:
@@ -119,14 +120,15 @@ def make_advance(filter_id: str, model: SdeModel, m: int,
 
     ``m`` is the number of fixed steps for ``lskf-rk*`` and the number of
     cubature substeps for ``cdckf*``; ``lskf-adaptive`` needs no
-    subdivision between measurements and ignores it.  Every id rejects
-    ``m < 1``.  ``variant`` is the level-set center-velocity mode.
+    subdivision between measurements and ignores it.  Every id rejects an
+    ``m`` that is not an integer >= 1.  ``variant`` is the level-set
+    center-velocity mode.
     """
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter {filter_id!r} "
                          f"(choose from {', '.join(FILTER_IDS)})")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if filter_id.startswith("cdckf"):
@@ -142,8 +144,8 @@ def make_advance(filter_id: str, model: SdeModel, m: int,
 
 
 def check_filters(filter_ids, m_values, variant: str = "averaged"):
-    """Reject an empty list, an unknown id or variant and ``m < 1`` for
-    every (id, m) pair, before any filter runs."""
+    """Reject an empty list, an unknown id or variant and an ``m`` that is
+    not an integer >= 1 for every (id, m) pair, before any filter runs."""
     if not filter_ids:
         raise ValueError("no filter id given")
     if not m_values:
@@ -221,30 +223,44 @@ def rmse(metrics: list, quantity: str) -> float:
 
 
 def _trial_worker(args):
-    config, omega, interval, cells, trial_index = args
+    """One chunk of a grid cell: simulate the chunk's trials in one batch,
+    then run every (filter, m) on each; one list of metrics per trial."""
+    config, omega, interval, cells, trial_indices = args
     scenario = config.scenario(omega, interval)
-    trial_data = make_trial(scenario, config.base_seed + trial_index)
+    trials = make_trial(scenario, [config.base_seed + i for i in trial_indices])
     return [
-        run_trial(config, f, m, omega, interval, trial_index, trial_data)
-        for (f, m) in cells
+        [run_trial(config, f, m, omega, interval, i, trial_data) for (f, m) in cells]
+        for i, trial_data in zip(trial_indices, trials)
     ]
+
+
+def _chunks(trials: int, jobs: int) -> list:
+    """Contiguous, non-empty trial-index ranges: one per worker when
+    ``jobs > 1`` (at most one per trial), else a single one."""
+    n = min(jobs, trials) if jobs > 1 else 1
+    bounds = [trials * c // n for c in range(n + 1)]
+    return [range(bounds[c], bounds[c + 1]) for c in range(n)]
 
 
 def run_grid(config: BenchConfig, jobs: int = 1) -> list:
     """Sweep (filter, omega, interval, m), ``trials`` Monte-Carlo runs per
     cell; trajectories are shared across filters within a cell/trial.
-    Returns one row dict per (filter, omega, interval, m) cell."""
+    Each cell's trials are split into contiguous chunks (one per worker,
+    and one pool per cell, when ``jobs > 1``); a chunk simulates its
+    trials as one batch.  Returns one row dict per (filter, omega,
+    interval, m) cell."""
     cells = [(f, m) for f in config.filters for m in config.m_values]
     rows = []
     for omega in config.omega_deg:
         for interval in config.intervals:
-            args = [(config, omega, interval, cells, i)
-                    for i in range(config.trials)]
+            args = [(config, omega, interval, cells, chunk)
+                    for chunk in _chunks(config.trials, jobs)]
             if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    per_trial = list(pool.map(_trial_worker, args))
+                with ProcessPoolExecutor(max_workers=len(args)) as pool:
+                    per_chunk = list(pool.map(_trial_worker, args))
             else:
-                per_trial = [_trial_worker(a) for a in args]
+                per_chunk = [_trial_worker(a) for a in args]
+            per_trial = [t for chunk in per_chunk for t in chunk]
             for c, (f, m) in enumerate(cells):
                 metrics = [per_trial[i][c] for i in range(config.trials)]
                 rows.append(_aggregate(config, f, m, omega, interval, metrics))
@@ -297,7 +313,6 @@ def convergence_study(problem: str, methods, step_counts):
     rows = []
     for method in methods:
         for m in step_counts:
-            m = int(m)
             advance = make_advance(method, model, m, abs_tol=1e-10, rel_tol=1e-10)
             b = advance(belief0, sc.t_end)
             rows.append({

@@ -14,6 +14,7 @@ the drift Hessians) from the model's analytic derivatives, and raises
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class CdckfVariant:
     def __post_init__(self):
         if self.mode not in VARIANT_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
 
 
 class It15Operators:

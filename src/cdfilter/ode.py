@@ -16,6 +16,7 @@ rejected)`` for the adaptive kind.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,8 +56,9 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in FIXED_KINDS + (ADAPTIVE,):
             raise ValueError(f"unknown solver kind {self.kind!r}")
-        if self.kind in FIXED_KINDS and self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if self.kind in FIXED_KINDS and not (
+                isinstance(self.steps, numbers.Integral) and self.steps >= 1):
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if self.kind == ADAPTIVE and not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("adaptive tolerances must be positive")
 

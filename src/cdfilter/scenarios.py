@@ -9,6 +9,7 @@ nothing downstream ever sees degrees.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,10 @@ class RadarScenario:
             raise ValueError(f"interval {self.interval:g} s is outside "
                              f"(0, {self.horizon:g}] (the horizon)")
         if not (math.isfinite(self.omega0_deg) and 0 <= self.sigma2 < math.inf
+                and isinstance(self.em_substeps, numbers.Integral)
                 and self.em_substeps >= 1):
             raise ValueError("omega0_deg must be finite, sigma2 finite and >= 0, "
-                             "and em_substeps >= 1")
+                             "and em_substeps an integer >= 1")
 
     @property
     def omega0(self) -> float:
@@ -134,45 +136,87 @@ class Trajectory:
     measurements: np.ndarray   # noisy radar readings, shape (n, 3)
 
 
-def simulate_truth(scenario: RadarScenario, rng_seed: int) -> Trajectory:
-    """Deterministic truth + measurement simulation for one trial."""
-    rng = np.random.default_rng(rng_seed)
-    model = scenario.sde_model()
+def _seed_list(rng_seed) -> list:
+    if isinstance(rng_seed, numbers.Integral):
+        return [rng_seed]
+    seeds = list(rng_seed)
+    if not seeds:
+        raise ValueError("rng_seed is an empty sequence; give at least one seed")
+    return seeds
+
+
+def simulate_truth(scenario: RadarScenario, rng_seed):
+    """Deterministic truth + measurement simulation, Euler-Maruyama with
+    ``em_substeps`` steps per measurement interval.
+
+    ``rng_seed`` is one seed, which returns one ``Trajectory``, or a
+    sequence of seeds, which returns one ``Trajectory`` per seed.  All
+    trials are stepped together as one (7, N) array: row r is state
+    component r and column i is the trial of the i-th seed.  Trial i draws
+    only from ``default_rng(seeds[i])``, in this order: per interval one
+    (em_substeps, 7) block of process noise, then three measurement-noise
+    normals.  Each column goes through the same floating-point operations
+    in the same order as a simulation of that seed alone, so a trajectory
+    does not depend on which other seeds share the batch.  One interval's
+    noise is held as an (em_substeps, 7, N) block of floats.
+    """
+    seeds = _seed_list(rng_seed)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    n_trials = len(seeds)
     mm = scenario.measurement_model()
-    sqrt_k_diag = np.diag(model.diffusion_factor)
-    x = scenario.initial_state()
+    sk = np.diag(scenario.sde_model().diffusion_factor)[:, None]
     times = scenario.measurement_times()
     n_sub = scenario.em_substeps
     h = scenario.interval / n_sub
     sqrt_h = math.sqrt(h)
-    states = np.empty((len(times), 7))
-    meas = np.empty((len(times), 3))
-    t = 0.0
+    # x += h * coordinated_turn_drift(x) and then x += dW, in place: the
+    # drift is [x1, -x6 x3, x3, x6 x1, x5, 0, 0], and negating h in row 1
+    # is exact, so (-h) (x3 x6) has the bits of h (-x6 x3)
+    hs = np.full((7, 1), h)
+    hs[1] = -h
+    x = np.repeat(scenario.initial_state()[:, None], n_trials, axis=1)
+    f = np.zeros((7, n_trials))
+    vel, f_pos = x[1:6:2], f[0:5:2]
+    x31, x6, f13 = x[3:0:-2], x[6], f[1:4:2]
+    states = np.empty((n_trials, len(times), 7))
+    meas = np.empty((n_trials, len(times), 3))
+    noise = np.empty((n_sub, 7, n_trials))
     for k in range(len(times)):
-        noise = rng.standard_normal((n_sub, 7))
-        for j in range(n_sub):
-            # Euler-Maruyama; diagonal diffusion
-            x = x + h * coordinated_turn_drift(x, t) + sqrt_h * (sqrt_k_diag * noise[j])
-            t += h
-        states[k] = x
-        meas[k] = mm.h(x) + mm.noise_factor @ rng.standard_normal(3)
-    return Trajectory(times=times, truth_states=states, measurements=meas)
+        for i, rng in enumerate(rngs):
+            noise[:, :, i] = rng.standard_normal((n_sub, 7))
+        noise *= sk                 # dW = sqrt(h) * (sqrt(K) * noise)
+        noise *= sqrt_h
+        for dw_j in noise:
+            f_pos[...] = vel
+            np.multiply(x31, x6, out=f13)
+            np.multiply(f, hs, out=f)
+            np.add(x, f, out=x)
+            np.add(x, dw_j, out=x)
+        states[:, k] = x.T
+        for i, rng in enumerate(rngs):
+            meas[i, k] = mm.h(states[i, k]) + mm.noise_factor @ rng.standard_normal(3)
+    trajectories = [Trajectory(times=times, truth_states=states[i], measurements=meas[i])
+                    for i in range(n_trials)]
+    return trajectories[0] if isinstance(rng_seed, numbers.Integral) else trajectories
 
 
-def make_trial(scenario: RadarScenario, rng_seed: int):
-    """Simulate one trial and build the filter's initial belief.
+def make_trial(scenario: RadarScenario, rng_seed):
+    """Simulate trials and build the filter's initial belief.
 
     Truth and filter both start at the scenario's initial state; Sigma0
     expresses the guess uncertainty the filter is told to assume.  (A
     sampled initial guess makes the very first time-update propagate a
     large turn-rate error through the strongly nonlinear dynamics and
     dominates every aggregate with that transient.)
-    Returns ``(Trajectory, initial_belief)``.
+    Returns ``(Trajectory, initial_belief)`` for one seed, and a list of
+    them, one per seed, for a sequence of seeds (see ``simulate_truth``).
     """
-    traj = simulate_truth(scenario, rng_seed)
+    trajectories = simulate_truth(scenario, _seed_list(rng_seed))
     factor0 = cholesky_lower(scenario.initial_covariance())
-    return traj, GaussianBelief(mean=scenario.initial_state(), factor=factor0,
-                                time=0.0)
+    trials = [(traj, GaussianBelief(mean=scenario.initial_state(),
+                                    factor=factor0.copy(), time=0.0))
+              for traj in trajectories]
+    return trials[0] if isinstance(rng_seed, numbers.Integral) else trials
 
 
 # ---------------------------------------------------------------------------

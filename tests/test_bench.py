@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import cdfilter.bench as bench
-from cdfilter import (AllTrialsDivergent, GaussianBelief, RadarScenario, SolverSpec,
-                      cholesky_lower)
+from cdfilter import (AllTrialsDivergent, CdckfVariant, GaussianBelief, RadarScenario,
+                      SolverSpec, cholesky_lower)
 from cdfilter.bench import (
     FILTER_IDS,
     BenchConfig,
@@ -90,6 +90,11 @@ class TestRejectedBeforeWork:
         {"omega_deg": (np.nan,)},
         {"sigma2": np.nan},
         {"em_substeps": 0},
+        {"m_values": (2.5,), "filters": ("lskf-rk2",)},
+        {"m_values": (2.5,), "filters": ("cdckf",)},
+        {"trials": 1.5},
+        {"trials": np.nan},
+        {"em_substeps": 2.5},
     ])
     def test_bench_config(self, no_work, kwargs):
         with pytest.raises(ValueError):
@@ -99,6 +104,7 @@ class TestRejectedBeforeWork:
         ([], [8]),
         (["lskf-rk2"], []),
         (["lskf-rk2"], [8, 0]),
+        (["lskf-rk2"], [2.5]),
     ])
     def test_convergence_study(self, no_work, methods, steps):
         with pytest.raises(ValueError):
@@ -110,6 +116,20 @@ class TestRejectedBeforeWork:
     def test_appendix_a(self, no_work, factorizations, t_end):
         with pytest.raises(ValueError):
             run_appendix_a(factorizations, 1, 0.5, 1.0, t_end)
+
+    def test_non_integer_counts_rejected_where_owned(self):
+        with pytest.raises(ValueError, match="integer"):
+            SolverSpec("fixed-rk2", steps=2.5)
+        with pytest.raises(ValueError, match="integer"):
+            CdckfVariant("paper-faithful", 2.5)
+        with pytest.raises(ValueError, match="integer"):
+            RadarScenario(em_substeps=2.5)
+        for filter_id in FILTER_IDS:
+            with pytest.raises(ValueError, match="integer"):
+                make_advance(filter_id, RadarScenario().sde_model(), 2.5)
+        # numpy integers are integers
+        BenchConfig(trials=np.int64(2), m_values=(np.int64(2),),
+                    em_substeps=np.int64(50))
 
     def test_unknown_id_message_lists_the_ids(self):
         with pytest.raises(ValueError, match="cdckf-proper"):
@@ -192,13 +212,40 @@ class TestRunGrid:
         assert row["divergent"] == int(t.divergent)
 
     def test_parallel_equals_serial(self):
-        cfg = BenchConfig(trials=3, **_FAST)
-        serial = run_grid(cfg, jobs=1)
-        parallel = run_grid(cfg, jobs=2)
-        for a, b in zip(serial, parallel):
-            for key in ("rmse_pos_m", "rmse_vel_mps", "rmse_turn_radps",
-                        "divergent"):
-                assert abs(a[key] - b[key]) <= 1e-12 * max(1.0, abs(a[key]))
+        # every field but the timing is equal, bit for bit; one trial on
+        # two jobs makes one chunk
+        for trials in (3, 1):
+            cfg = BenchConfig(trials=trials, **_FAST)
+            serial = run_grid(cfg, jobs=1)
+            parallel = run_grid(cfg, jobs=2)
+            assert len(serial) == len(parallel) == 1
+            for a, b in zip(serial, parallel):
+                assert a.keys() == b.keys()
+                for key in a.keys() - {"wall_ms_per_trial"}:
+                    assert a[key] == b[key], (trials, key)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 7, 25, 100])
+    @pytest.mark.parametrize("jobs", [-1, 0, 1, 2, 3, 8])
+    def test_chunks_are_contiguous_and_never_empty(self, trials, jobs):
+        chunks = bench._chunks(trials, jobs)
+        assert len(chunks) == (min(jobs, trials) if jobs > 1 else 1)
+        assert all(len(c) > 0 for c in chunks)
+        assert [i for c in chunks for i in c] == list(range(trials))
+        sizes = [len(c) for c in chunks]
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_grid_builds_no_empty_chunk(self, monkeypatch):
+        seen = []
+        worker = bench._trial_worker
+
+        def record(args):
+            seen.append(list(args[4]))
+            return worker(args)
+
+        monkeypatch.setattr(bench, "_trial_worker", record)
+        run_grid(BenchConfig(trials=1, **_FAST), jobs=1)
+        run_grid(BenchConfig(trials=3, **_FAST), jobs=1)
+        assert seen == [[0], [0, 1, 2]]
 
     def test_metadata_records_conventions(self):
         md = BenchConfig(trials=1, **_FAST).metadata()

@@ -69,3 +69,27 @@ def test_tracer_sees_the_cubature_layers(tmp_path):
                  "models.drift", "models.jacobian", "models.hessians",
                  "measurement.update"):
         assert calls[name] > 0, name
+
+
+def test_tracer_counts_one_batched_chunk(tmp_path):
+    # `mc-grid` requires `scenarios.make_trial` and `bench.worker` to record
+    # calls.  A serial cell is one chunk: one worker task and one batched
+    # `make_trial`.  `models.h` runs once per measurement in the truth
+    # simulation and once per cubature point in each measurement update,
+    # as it did when every trial was simulated alone.
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer(tmp_path / "spans")
+    tracer.install()
+    try:
+        cfg = cdfilter.bench.BenchConfig(omega_deg=(6.0,), intervals=(6.0,),
+                                         m_values=(2,), filters=("cdckf",),
+                                         trials=3, em_substeps=50)
+        rows = cdfilter.bench.run_grid(cfg, jobs=1)
+        calls = {name: stats[0] for name, stats in tracer.layers.items()}
+    finally:
+        tracer.uninstall()
+    n_meas, d = 20, 7
+    assert rows[0]["divergent"] == 0
+    assert calls["scenarios.make_trial"] == 1
+    assert calls["bench.worker"] == 1
+    assert calls["models.h"] == 3 * n_meas * (1 + 2 * d)

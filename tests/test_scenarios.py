@@ -158,6 +158,123 @@ class TestTruthSimulation:
         assert len(traj.times) == 20
 
 
+def _per_trial_truth(scenario, rng_seed):
+    """The one-trial Euler-Maruyama loop that the batched ``simulate_truth``
+    replaced, kept unchanged as its reference."""
+    rng = np.random.default_rng(rng_seed)
+    model = scenario.sde_model()
+    mm = scenario.measurement_model()
+    sqrt_k_diag = np.diag(model.diffusion_factor)
+    x = scenario.initial_state()
+    times = scenario.measurement_times()
+    n_sub = scenario.em_substeps
+    h = scenario.interval / n_sub
+    sqrt_h = math.sqrt(h)
+    states = np.empty((len(times), 7))
+    meas = np.empty((len(times), 3))
+    t = 0.0
+    for k in range(len(times)):
+        noise = rng.standard_normal((n_sub, 7))
+        for j in range(n_sub):
+            # Euler-Maruyama; diagonal diffusion
+            x = x + h * coordinated_turn_drift(x, t) + sqrt_h * (sqrt_k_diag * noise[j])
+            t += h
+        states[k] = x
+        meas[k] = mm.h(x) + mm.noise_factor @ rng.standard_normal(3)
+    return times, states, meas
+
+
+def _assert_same_trajectory(traj, reference):
+    times, states, meas = reference
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.truth_states, states)
+    assert np.array_equal(traj.measurements, meas)
+    # bit for bit, down to the sign of a zero
+    assert traj.truth_states.tobytes() == states.tobytes()
+    assert traj.measurements.tobytes() == meas.tobytes()
+
+
+def _simulate(scenario, seeds, batched):
+    if batched:
+        return simulate_truth(scenario, seeds)
+    return [simulate_truth(scenario, s) for s in seeds]
+
+
+_SEEDS = [20210001 + i for i in range(25)]
+_ACCEPTANCE_5_CELLS = [(w, T) for w in (6.0, 12.0, 24.0) for T in (2.0, 4.0, 6.0)]
+
+
+@pytest.fixture(scope="class", params=_ACCEPTANCE_5_CELLS,
+                ids=[f"w{w:g}-T{T:g}" for w, T in _ACCEPTANCE_5_CELLS])
+def acceptance_5_cell(request):
+    """An acceptance-5 cell and its 25 trials from the per-trial loop."""
+    omega, interval = request.param
+    sc = RadarScenario(omega0_deg=omega, interval=interval)
+    return sc, [_per_trial_truth(sc, s) for s in _SEEDS]
+
+
+class TestBatchedTruthEqualsPerTrialLoop:
+    """Every trajectory of the (7, N) kernel equals the per-trial loop,
+    whatever the batch it was simulated in."""
+
+    def test_cell_one_seed_at_a_time(self, acceptance_5_cell):
+        sc, reference = acceptance_5_cell
+        for traj, ref in zip(_simulate(sc, _SEEDS, False), reference):
+            _assert_same_trajectory(traj, ref)
+
+    def test_cell_all_seeds_in_one_batch(self, acceptance_5_cell):
+        sc, reference = acceptance_5_cell
+        batch = _simulate(sc, _SEEDS, True)
+        assert len(batch) == len(_SEEDS)
+        for traj, ref in zip(batch, reference):
+            _assert_same_trajectory(traj, ref)
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["N1", "batch"])
+    @pytest.mark.parametrize("substeps", [500, 2000])
+    def test_other_substep_counts(self, substeps, batched):
+        sc = RadarScenario(omega0_deg=12.0, interval=4.0, em_substeps=substeps)
+        seeds = _SEEDS[:5]
+        for traj, seed in zip(_simulate(sc, seeds, batched), seeds):
+            _assert_same_trajectory(traj, _per_trial_truth(sc, seed))
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["N1", "batch"])
+    def test_noise_free_straight_line(self, batched):
+        # the scenario of test_noise_free_straight_line_tracks_exactly,
+        # where every noise term is an exact zero
+        sc = RadarScenario(omega0_deg=0.0, sigma1=0.0, sigma2=0.0,
+                           sigma_r=0.0, sigma_angle_deg=0.0, horizon=60.0,
+                           em_substeps=10)
+        seeds = [0, 1, 2]
+        for traj, seed in zip(_simulate(sc, seeds, batched), seeds):
+            _assert_same_trajectory(traj, _per_trial_truth(sc, seed))
+
+
+class TestBatchedTrials:
+    def test_sequence_gives_one_trial_per_seed(self):
+        sc = RadarScenario(em_substeps=10)
+        trials = make_trial(sc, (7, 8))
+        assert isinstance(trials, list) and len(trials) == 2
+        for seed, (traj, belief) in zip((7, 8), trials):
+            one, belief_one = make_trial(sc, seed)
+            np.testing.assert_array_equal(traj.truth_states, one.truth_states)
+            np.testing.assert_array_equal(traj.measurements, one.measurements)
+            np.testing.assert_array_equal(belief.mean, belief_one.mean)
+            np.testing.assert_array_equal(belief.factor, belief_one.factor)
+        # the beliefs share no arrays
+        assert not np.shares_memory(trials[0][1].factor, trials[1][1].factor)
+
+    def test_numpy_integer_seed_is_one_trial(self):
+        sc = RadarScenario(em_substeps=10)
+        traj, _ = make_trial(sc, np.int64(7))
+        np.testing.assert_array_equal(traj.truth_states,
+                                      make_trial(sc, 7)[0].truth_states)
+
+    @pytest.mark.parametrize("fn", [simulate_truth, make_trial])
+    def test_empty_seed_sequence_rejected(self, fn):
+        with pytest.raises(ValueError, match="empty"):
+            fn(RadarScenario(em_substeps=10), [])
+
+
 class TestLinearScenarios:
     def test_linear_fp_covariance_at_t10(self):
         # frozen from the moment oracle; confirms the effective noise
