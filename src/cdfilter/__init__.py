@@ -14,13 +14,15 @@ from .errors import (
     DegenerateInnovationCovariance,
     MaxStepsExceeded,
     MissingDerivatives,
+    NonFiniteBelief,
     NotPositiveSemiDefinite,
     NotSymmetric,
     RecoverableRhsError,
     SingularFactor,
     StepUnderflow,
 )
-from .linalg import cholesky_lower, lyapunov_oracle, solve_transpose, tria
+from .linalg import (cholesky_lower, lyapunov_oracle, solve_lower_right,
+                     solve_transpose, tria)
 from .lskf import count_drift_evals, lskf_rhs, lskf_time_update, pack_state, unpack_state
 from .measurement import UpdateDiagnostics, measurement_update, wrap_angles
 from .models import GaussianBelief, LinearSystem, MeasurementModel, SdeModel

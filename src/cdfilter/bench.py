@@ -1,8 +1,9 @@
 """Monte-Carlo benchmark harness for the radar tracking problem, plus the
 two moment-convergence studies and the Appendix-A variant comparison.
 ``make_advance`` is the one map from a filter id to its time-update.
-``BenchConfig``, ``check_filters``, ``convergence_study`` and
-``run_appendix_a`` raise ``ValueError`` for a bad argument before any work.
+``BenchConfig``, ``check_filters``, ``check_jobs``, ``run_grid``,
+``convergence_study`` and ``run_appendix_a`` raise ``ValueError`` for a
+bad argument before any work.
 
 Trials are deterministic: trial ``i`` always uses seed ``base_seed + i``,
 so results are independent of execution order and of how many workers run
@@ -60,6 +61,7 @@ class BenchConfig:
     def __post_init__(self):
         if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        _check_seed(self.base_seed)
         if not (self.omega_deg and self.intervals):
             raise ValueError("omega_deg and intervals must not be empty")
         for omega in self.omega_deg:
@@ -89,6 +91,17 @@ class BenchConfig:
             "initialization": "truth and filter both start at x0; Sigma0 is the assumed guess covariance",
             "seed_rule": "trial i uses base_seed + i",
         }
+
+
+def _check_seed(seed):
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def check_jobs(jobs):
+    """Reject a worker count that is not an integer >= 1."""
+    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
 @dataclass(frozen=True)
@@ -249,6 +262,7 @@ def run_grid(config: BenchConfig, jobs: int = 1) -> list:
     and one pool per cell, when ``jobs > 1``); a chunk simulates its
     trials as one batch.  Returns one row dict per (filter, omega,
     interval, m) cell."""
+    check_jobs(jobs)
     cells = [(f, m) for f in config.filters for m in config.m_values]
     rows = []
     for omega in config.omega_deg:
@@ -325,9 +339,10 @@ def convergence_study(problem: str, methods, step_counts):
     return rows
 
 
-def check_appendix_a(factorizations: int, a: float, b: float,
+def check_appendix_a(factorizations: int, seed: int, a: float, b: float,
                      t_end: float) -> TransportScenario:
     """Reject bad Appendix-A arguments; returns the transport flow."""
+    _check_seed(seed)
     if factorizations < 1:
         raise ValueError("factorizations must be >= 1")
     if not t_end >= 0:
@@ -338,7 +353,7 @@ def check_appendix_a(factorizations: int, a: float, b: float,
 def run_appendix_a(factorizations: int, seed: int, a: float, b: float,
                    t_end: float):
     """Compare center-velocity variants over random covariance factors."""
-    ts = check_appendix_a(factorizations, a, b, t_end)
+    ts = check_appendix_a(factorizations, seed, a, b, t_end)
     model = ts.sde_model()
     base_factor = cholesky_lower(ts.sigma0())
     rng = np.random.default_rng(seed)

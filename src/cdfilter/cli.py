@@ -32,7 +32,8 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (FILTER_IDS, PROBLEMS, BenchConfig, check_appendix_a,
-                    check_filters, convergence_study, run_appendix_a, run_grid)
+                    check_filters, check_jobs, convergence_study, run_appendix_a,
+                    run_grid)
 from .lskf import VARIANTS
 
 RADAR_CSV_COLUMNS = ("filter", "variant", "omega_deg", "interval_s", "m",
@@ -197,6 +198,7 @@ def cmd_radar(args) -> int:
         rel_tol=args.tol_rel,
         sigma2=args.sigma2,
     )
+    check_jobs(args.jobs)
     out = _start_run(args, "radar", "radar.csv",
                      dict(config.metadata(), seed=args.seed))
     t0 = time.perf_counter()
@@ -216,7 +218,7 @@ def cmd_radar(args) -> int:
 
 
 def cmd_appendix_a(args) -> int:
-    check_appendix_a(args.factorizations, args.a, args.b, args.t_end)
+    check_appendix_a(args.factorizations, args.seed, args.a, args.b, args.t_end)
     out = _start_run(args, "appendix-a", "appendix_a.csv", {
         "flow": "v(x, y) = (0, x^2), volume-preserving characteristics oracle",
         "error_metric": "grid L2 distance between estimate density and exact pushforward",

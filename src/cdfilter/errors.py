@@ -41,6 +41,11 @@ class DegenerateInnovationCovariance(CdFilterError):
     solve is ill-posed."""
 
 
+class NonFiniteBelief(CdFilterError):
+    """A belief's mean or factor is non-finite, or so large that its
+    cubature points give a non-finite predicted measurement."""
+
+
 class AtStationSingularity(CdFilterError):
     """Target is directly above the radar station; azimuth is undefined."""
 

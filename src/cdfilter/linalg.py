@@ -9,7 +9,7 @@ form makes regression values deterministic.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs
+from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dtrtrs
 
 from .errors import NotPositiveSemiDefinite, NotSymmetric, SingularFactor
 from .models import LinearSystem
@@ -84,6 +84,19 @@ def solve_transpose(m: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise SingularFactor("factor M is numerically singular")
     # X M^T = K  <=>  M X^T = K^T
     return dgetrs(lu, piv, k.T)[0].T
+
+
+def solve_lower_right(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``X @ L = B`` for X, with L lower triangular and nonsingular.
+
+    Calls LAPACK ``dtrtrs`` directly, as ``L.T X.T = B.T``.  That is the
+    call ``scipy.linalg.solve_triangular(L.T, B.T)`` makes when ``L.T`` is
+    not Fortran-contiguous (L a block of a larger C-ordered array, as in
+    ``measurement_update``), so X is the same to the bit there, without
+    scipy's per-call checks.  The caller checks that L has no zero
+    diagonal entry and that both inputs are finite.
+    """
+    return dtrtrs(l, b.T, lower=1, trans=1)[0].T
 
 
 def lyapunov_oracle(sys: LinearSystem, x0, sigma0, t: float, tol: float = 1e-12):

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import DegenerateInnovationCovariance
-from .linalg import tria
+from .errors import DegenerateInnovationCovariance, NonFiniteBelief
+from .linalg import solve_lower_right, tria
 from .models import GaussianBelief, MeasurementModel
 
 
@@ -42,7 +41,9 @@ def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarr
     """Condition a belief on one measurement ``y``.
 
     Returns ``(posterior_belief, UpdateDiagnostics)``; a non-finite entry
-    in ``y`` is a ``ValueError``.
+    in ``y`` is a ``ValueError``.  A non-finite prior mean or factor, or
+    one so large that a cubature point's predicted measurement overflows,
+    raises ``NonFiniteBelief``.
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -50,19 +51,25 @@ def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarr
     d = belief.dim
     nz = mm.meas_dim
     mean, M = belief.mean, belief.factor
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(M))):
+        raise NonFiniteBelief("prior mean or factor has a non-finite entry")
 
     spread = np.sqrt(d) * np.concatenate([M, -M], axis=1)
     pts = mean[:, None] + spread
     Y = np.empty((nz, 2 * d))
-    for i in range(2 * d):
-        Y[:, i] = mm.h(pts[:, i])
-    y_pred = Y.mean(axis=1)
-
     w = 1.0 / np.sqrt(2 * d)
-    yc = w * (Y - y_pred[:, None])
-    xc = w * spread
-    stacked = np.block([[yc, mm.noise_factor],
-                        [xc, np.zeros((d, nz))]])
+    # [[yc, R], [xc, 0]] with yc, xc the weighted measurement and state
+    # deviations; an overflow shows as a non-finite entry, not a warning
+    stacked = np.zeros((nz + d, 2 * d + nz))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(2 * d):
+            Y[:, i] = mm.h(pts[:, i])
+        y_pred = Y.mean(axis=1)
+        stacked[:nz, :2 * d] = w * (Y - y_pred[:, None])
+    stacked[:nz, 2 * d:] = mm.noise_factor
+    stacked[nz:, :2 * d] = w * spread
+    if not np.all(np.isfinite(stacked)):
+        raise NonFiniteBelief("prior spread gives a non-finite predicted measurement")
     T = tria(stacked)
     T11 = T[:nz, :nz]
     T21 = T[nz:, :nz]
@@ -71,7 +78,7 @@ def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarr
         raise DegenerateInnovationCovariance(
             "innovation factor has a zero diagonal entry")
     # gain solves W @ T11 = T21 with T11 lower triangular
-    gain = solve_triangular(T11.T, T21.T, lower=False).T
+    gain = solve_lower_right(T11, T21)
     innovation = wrap_angles(y - y_pred, mm.residual_wrap)
     posterior = GaussianBelief(mean=mean + gain @ innovation, factor=T22,
                                time=belief.time)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -145,53 +146,94 @@ def _seed_list(rng_seed) -> list:
     return seeds
 
 
+def _running_sum(x0, a, b) -> np.ndarray:
+    """Every value of ``x_{j+1} = (x_j + a_j) + b_j`` along the last axis,
+    ``x_0`` to ``x_n``, added in exactly that order.
+
+    ``np.add.accumulate`` over the interleaved ``[x_0, a_0, b_0, a_1, b_1,
+    ...]`` is sequential, so it rounds as the loop does (``np.sum`` would
+    add pairwise).  ``a`` broadcasts against ``b``, whose last axis has
+    the n steps; ``x0`` has ``b``'s shape without that axis.
+    """
+    n = np.shape(b)[-1]
+    buf = np.empty(np.shape(x0) + (2 * n + 1,))
+    buf[..., 0] = x0
+    buf[..., 1::2] = a
+    buf[..., 2::2] = b
+    np.add.accumulate(buf, axis=-1, out=buf)
+    return buf[..., ::2]
+
+
+def _turn_recursion(x1, x3, w, e1, e3, h, out1, out3):
+    """Rows 1 and 3 of one trial over one interval, in Python floats:
+    ``x1 <- (x1 + h (-w x3)) + e1`` and ``x3 <- (x3 + h (w x1)) + e3``, with
+    ``w`` the turn rate at the start of each substep.  Writes both rows at
+    the start of every substep, and at the end, into ``out1`` and
+    ``out3`` (one entry longer than ``w``)."""
+    x1, x3, mh = float(x1), float(x3), -h
+    o1, o3 = memoryview(out1), memoryview(out3)
+    o1[0], o3[0] = x1, x3
+    # negating h is exact, so (x3 w) (-h) has the bits of h (-w x3)
+    for j, wj, e1j, e3j in zip(count(1), memoryview(w), memoryview(e1),
+                               memoryview(e3)):
+        x1, x3 = (x1 + (x3 * wj) * mh) + e1j, (x3 + (x1 * wj) * h) + e3j
+        o1[j], o3[j] = x1, x3
+
+
 def simulate_truth(scenario: RadarScenario, rng_seed):
     """Deterministic truth + measurement simulation, Euler-Maruyama with
     ``em_substeps`` steps per measurement interval.
 
     ``rng_seed`` is one seed, which returns one ``Trajectory``, or a
-    sequence of seeds, which returns one ``Trajectory`` per seed.  All
-    trials are stepped together as one (7, N) array: row r is state
-    component r and column i is the trial of the i-th seed.  Trial i draws
-    only from ``default_rng(seeds[i])``, in this order: per interval one
-    (em_substeps, 7) block of process noise, then three measurement-noise
-    normals.  Each column goes through the same floating-point operations
-    in the same order as a simulation of that seed alone, so a trajectory
-    does not depend on which other seeds share the batch.  One interval's
-    noise is held as an (em_substeps, 7, N) block of floats.
+    sequence of seeds, which returns one ``Trajectory`` per seed.  Trial i
+    draws only from ``default_rng(seeds[i])``, in this order: per interval
+    one (em_substeps, 7) block of process noise, then three
+    measurement-noise normals.  Each trajectory is bitwise equal to the
+    plain loop ``x <- (x + h f(x)) + dW`` over substeps for that seed
+    alone, whatever other seeds share the call.
+
+    The loop is run one state component at a time over a whole interval.
+    The drift is ``[x1, -x6 x3, x3, x6 x1, x5, 0, 0]``, so rows 5 and 6
+    are random walks, ``x <- (x + 0 h) + dW`` (the ``0 h`` keeps the sign
+    a zero gets in the loop), and each position row 0, 2, 4 is
+    ``x <- (x + h v) + dW`` over the history of its velocity row 1, 3, 5.
+    These are running sums (``_running_sum``), taken for all trials at
+    once: rows 5 and 6 first, then rows 1 and 3, then 0, 2 and 4.  Rows 1
+    and 3 are the one nonlinear pair, stepped per trial in Python floats
+    (``_turn_recursion``) over the turn-rate history.  That recursion
+    costs the same for every trial, so the cost of a call grows with N:
+    a batch shares the running sums (about a third of a one-trial call)
+    but not the recursion.
     """
     seeds = _seed_list(rng_seed)
     rngs = [np.random.default_rng(s) for s in seeds]
     n_trials = len(seeds)
     mm = scenario.measurement_model()
-    sk = np.diag(scenario.sde_model().diffusion_factor)[:, None]
+    sk = np.diag(scenario.sde_model().diffusion_factor)[:, None, None]
     times = scenario.measurement_times()
     n_sub = scenario.em_substeps
     h = scenario.interval / n_sub
     sqrt_h = math.sqrt(h)
-    # x += h * coordinated_turn_drift(x) and then x += dW, in place: the
-    # drift is [x1, -x6 x3, x3, x6 x1, x5, 0, 0], and negating h in row 1
-    # is exact, so (-h) (x3 x6) has the bits of h (-x6 x3)
-    hs = np.full((7, 1), h)
-    hs[1] = -h
     x = np.repeat(scenario.initial_state()[:, None], n_trials, axis=1)
-    f = np.zeros((7, n_trials))
-    vel, f_pos = x[1:6:2], f[0:5:2]
-    x31, x6, f13 = x[3:0:-2], x[6], f[1:4:2]
     states = np.empty((n_trials, len(times), 7))
     meas = np.empty((n_trials, len(times), 3))
-    noise = np.empty((n_sub, 7, n_trials))
+    noise = np.empty((n_trials, n_sub, 7))
+    dw = np.empty((7, n_trials, n_sub))          # component, trial, substep
+    vel = np.empty((3, n_trials, n_sub + 1))     # rows 1, 3, 5 at each substep
     for k in range(len(times)):
         for i, rng in enumerate(rngs):
-            noise[:, :, i] = rng.standard_normal((n_sub, 7))
-        noise *= sk                 # dW = sqrt(h) * (sqrt(K) * noise)
-        noise *= sqrt_h
-        for dw_j in noise:
-            f_pos[...] = vel
-            np.multiply(x31, x6, out=f13)
-            np.multiply(f, hs, out=f)
-            np.add(x, f, out=x)
-            np.add(x, dw_j, out=x)
+            noise[i] = rng.standard_normal((n_sub, 7))
+        # dW = sqrt(h) * (sqrt(K) * noise)
+        np.multiply(noise.transpose(2, 0, 1), sk, out=dw)
+        dw *= sqrt_h
+        x56 = _running_sum(x[5:7], 0.0 * h, dw[5:7])    # rows 5, 6 at each substep
+        vel[2] = x56[0]
+        for i in range(n_trials):
+            _turn_recursion(x[1, i], x[3, i], x56[1, i, :-1], dw[1, i], dw[3, i],
+                            h, vel[0, i], vel[1, i])
+        x[0:5:2] = _running_sum(x[0:5:2], vel[..., :-1] * h, dw[0:5:2])[..., -1]
+        x[1:6:2] = vel[..., -1]
+        x[6] = x56[1, :, -1]
         states[:, k] = x.T
         for i, rng in enumerate(rngs):
             meas[i, k] = mm.h(states[i, k]) + mm.noise_factor @ rng.standard_normal(3)

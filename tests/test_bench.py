@@ -9,6 +9,8 @@ from cdfilter.bench import (
     BenchConfig,
     TrialMetrics,
     _filter_loop,
+    check_appendix_a,
+    check_jobs,
     convergence_study,
     make_advance,
     rmse,
@@ -95,6 +97,8 @@ class TestRejectedBeforeWork:
         {"trials": 1.5},
         {"trials": np.nan},
         {"em_substeps": 2.5},
+        {"base_seed": -1},
+        {"base_seed": 1.5},
     ])
     def test_bench_config(self, no_work, kwargs):
         with pytest.raises(ValueError):
@@ -116,6 +120,20 @@ class TestRejectedBeforeWork:
     def test_appendix_a(self, no_work, factorizations, t_end):
         with pytest.raises(ValueError):
             run_appendix_a(factorizations, 1, 0.5, 1.0, t_end)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_appendix_a_seed(self, no_work, seed):
+        with pytest.raises(ValueError, match="seed"):
+            check_appendix_a(4, seed, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="seed"):
+            run_appendix_a(4, seed, 0.5, 1.0, 1.0)
+
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", None])
+    def test_run_grid_jobs(self, no_work, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            check_jobs(jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            run_grid(BenchConfig(trials=1, **_FAST), jobs=jobs)
 
     def test_non_integer_counts_rejected_where_owned(self):
         with pytest.raises(ValueError, match="integer"):
@@ -180,6 +198,16 @@ class TestRunTrial:
         t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
         # 20 intervals x 2 substeps x 14 cubature points x 2 drift calls
         assert t.drift_evals == 20 * 2 * 14 * 2
+
+    def test_non_finite_prior_counts_as_divergent(self, monkeypatch):
+        # a time-update that returns a NaN belief: the measurement update
+        # raises NonFiniteBelief, and the trial is divergent, not a crash
+        def nan_advance(*args, **kwargs):
+            return lambda b, t1: GaussianBelief(np.full(7, np.nan), b.factor, t1)
+
+        monkeypatch.setattr(bench, "make_advance", nan_advance)
+        t = run_trial(BenchConfig(trials=1, **_FAST), "cdckf", 2, 6.0, 6.0, 0)
+        assert t.divergent
 
     def test_noise_free_straight_line_tracks_exactly(self):
         # zero noise everywhere and near-perfect initialization: the

@@ -198,12 +198,25 @@ class TestConfigAndErrors:
         ["radar", "--tol-rel", "nan"],
         ["appendix-a", "--t-end", "-1"],
         ["appendix-a", "--a", "0"],
+        ["radar", "--seed", "-1"],
+        ["appendix-a", "--seed", "-1"],
+        ["radar", "--jobs", "0"],
+        ["radar", "--jobs", "-3"],
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert _run(argv + ["--out", out]) == 2
         assert "error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["radar"], ["appendix-a"]])
+    def test_negative_seed_env_exits_2_before_manifest(self, tmp_path, monkeypatch,
+                                                       capsys, command):
+        monkeypatch.setenv("CDFILTER_SEED", "-1")
+        out = tmp_path / "out"
+        assert _run(command + ["--out", out]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_non_integer_seed_env_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CDFILTER_SEED", "twelve")

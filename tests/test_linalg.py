@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from cdfilter import (
     LinearSystem,
@@ -11,6 +11,7 @@ from cdfilter import (
     SingularFactor,
     cholesky_lower,
     lyapunov_oracle,
+    solve_lower_right,
     solve_transpose,
     tria,
 )
@@ -142,6 +143,29 @@ class TestSolveTranspose:
             lu, piv = lu_factor(M, check_finite=False)
             want = lu_solve((lu, piv), K.T, check_finite=False).T
             assert np.array_equal(solve_transpose(M, K), want)
+
+
+class TestSolveLowerRight:
+    def test_random_residual(self):
+        rng = np.random.default_rng(5)
+        L = np.tril(rng.standard_normal((3, 3))) + 3.0 * np.eye(3)
+        B = rng.standard_normal((7, 3))
+        X = solve_lower_right(L, B)
+        assert np.linalg.norm(X @ L - B) <= 1e-10
+
+    def test_equals_scipy_solve_triangular(self):
+        # the call measurement_update made before: L the leading block of
+        # a larger lower-triangular C-ordered matrix, B the block below it
+        rng = np.random.default_rng(6)
+        for _ in range(1000):
+            d = int(rng.integers(1, 9))
+            rows = d + int(rng.integers(1, 9))
+            T = np.tril(rng.standard_normal((rows, rows)))
+            T[np.diag_indices(rows)] = np.abs(np.diag(T)) + 0.5
+            L, B = T[:d, :d], T[d:, :d]
+            want = solve_triangular(L.T, B.T, lower=False).T
+            got = solve_lower_right(L, B)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLyapunovOracle:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 from cdfilter import (
     DegenerateInnovationCovariance,
+    CdFilterError,
     GaussianBelief,
     MeasurementModel,
+    NonFiniteBelief,
+    RadarScenario,
     cholesky_lower,
     measurement_update,
     wrap_angles,
@@ -159,6 +163,23 @@ class TestMeasurementUpdate:
         y[index] = bad
         with pytest.raises(ValueError, match="non-finite"):
             measurement_update(GaussianBelief(np.zeros(2), np.eye(2)), mm, y)
+
+    @pytest.mark.parametrize("where, value", [
+        ("mean", np.nan), ("factor", np.inf), ("factor", 1e200)])
+    def test_non_finite_prior_raises_by_name(self, where, value):
+        # 1e200 is finite, but the range at the cubature points overflows
+        sc = RadarScenario()
+        mean = sc.initial_state()
+        factor = np.eye(7)
+        target = mean if where == "mean" else factor
+        target[0] = value
+        mm = sc.measurement_model()
+        y = mm.h(sc.initial_state())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteBelief):
+                measurement_update(GaussianBelief(mean, factor), mm, y)
+        assert issubclass(NonFiniteBelief, CdFilterError)
 
     def test_nonlinear_measurement_uses_cubature_points(self):
         # h(x) = x^2 on N(0, 1): predicted measurement is the cubature

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cdfilter import (
     AtStationSingularity,
@@ -17,6 +19,7 @@ from cdfilter import (
 from cdfilter.scenarios import (
     RADAR_STATION,
     TransportScenario,
+    _running_sum,
     coordinated_turn_hessians,
     coordinated_turn_jacobian,
 )
@@ -229,6 +232,16 @@ class TestBatchedTruthEqualsPerTrialLoop:
         for traj, ref in zip(batch, reference):
             _assert_same_trajectory(traj, ref)
 
+    @pytest.mark.parametrize("chunk", [2, 4])
+    def test_cell_in_grid_chunks(self, acceptance_5_cell, chunk):
+        # run_grid's chunk sizes: mc-grid's two workers get 2 trials each
+        sc, reference = acceptance_5_cell
+        batch = [traj for c in range(0, len(_SEEDS), chunk)
+                 for traj in _simulate(sc, _SEEDS[c:c + chunk], True)]
+        assert len(batch) == len(_SEEDS)
+        for traj, ref in zip(batch, reference):
+            _assert_same_trajectory(traj, ref)
+
     @pytest.mark.parametrize("batched", [False, True], ids=["N1", "batch"])
     @pytest.mark.parametrize("substeps", [500, 2000])
     def test_other_substep_counts(self, substeps, batched):
@@ -247,6 +260,36 @@ class TestBatchedTruthEqualsPerTrialLoop:
         seeds = [0, 1, 2]
         for traj, seed in zip(_simulate(sc, seeds, batched), seeds):
             _assert_same_trajectory(traj, _per_trial_truth(sc, seed))
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.225073858507201e-308]))
+
+
+class TestRunningSum:
+    @given(_EDGE_FLOATS,
+           st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=40))
+    @example(-0.0, [(0.0, -0.0)])
+    @example(-0.0, [(-0.0, -0.0), (0.0, 5e-324)])
+    @example(5e-324, [(-5e-324, -0.0)])
+    def test_equals_the_plain_loop(self, x0, steps):
+        a, b = (np.array(v) for v in zip(*steps))
+        want = [x0]
+        for aj, bj in zip(a.tolist(), b.tolist()):
+            want.append((want[-1] + aj) + bj)
+        got = _running_sum(x0, a, b)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_rows_are_independent_and_a_broadcasts(self):
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal((2, 3))
+        b = rng.standard_normal((2, 3, 50))
+        got = _running_sum(x0, 0.0, b)
+        assert got.shape == (2, 3, 51)
+        for idx in np.ndindex(2, 3):
+            assert got[idx].tobytes() == _running_sum(x0[idx], np.zeros(50), b[idx]).tobytes()
 
 
 class TestBatchedTrials:
