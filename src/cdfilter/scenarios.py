@@ -198,18 +198,21 @@ def simulate_truth(scenario: RadarScenario, rng_seed):
     a zero gets in the loop), and each position row 0, 2, 4 is
     ``x <- (x + h v) + dW`` over the history of its velocity row 1, 3, 5.
     These are running sums (``_running_sum``), taken for all trials at
-    once: rows 5 and 6 first, then rows 1 and 3, then 0, 2 and 4.  Rows 1
-    and 3 are the one nonlinear pair, stepped per trial in Python floats
-    (``_turn_recursion``) over the turn-rate history.  That recursion
-    costs the same for every trial, so the cost of a call grows with N:
-    a batch shares the running sums (about a third of a one-trial call)
-    but not the recursion.
+    once and one row at a time, so that besides the interval's noise only
+    a few rows of history are alive: row 6 first, then rows 1 and 3, then
+    row 5, 4, 0 and 2.  Rows 1 and 3 are the one nonlinear pair, stepped
+    per trial in Python floats (``_turn_recursion``) over the turn-rate
+    history.  That recursion costs the same for every trial, so the cost
+    of a call grows with N: a batch shares the running sums (about a
+    third of a one-trial call) but not the recursion, and above about a
+    dozen trials a call is slower than stepping all trials as one (7, N)
+    array substep by substep would be.
     """
     seeds = _seed_list(rng_seed)
     rngs = [np.random.default_rng(s) for s in seeds]
     n_trials = len(seeds)
     mm = scenario.measurement_model()
-    sk = np.diag(scenario.sde_model().diffusion_factor)[:, None, None]
+    sk = np.diag(scenario.sde_model().diffusion_factor)
     times = scenario.measurement_times()
     n_sub = scenario.em_substeps
     h = scenario.interval / n_sub
@@ -218,22 +221,26 @@ def simulate_truth(scenario: RadarScenario, rng_seed):
     states = np.empty((n_trials, len(times), 7))
     meas = np.empty((n_trials, len(times), 3))
     noise = np.empty((n_trials, n_sub, 7))
-    dw = np.empty((7, n_trials, n_sub))          # component, trial, substep
-    vel = np.empty((3, n_trials, n_sub + 1))     # rows 1, 3, 5 at each substep
+    dw = noise.transpose(2, 0, 1)                # component, trial, substep
+    vel = np.empty((2, n_trials, n_sub + 1))     # rows 1, 3 at each substep
     for k in range(len(times)):
         for i, rng in enumerate(rngs):
             noise[i] = rng.standard_normal((n_sub, 7))
-        # dW = sqrt(h) * (sqrt(K) * noise)
-        np.multiply(noise.transpose(2, 0, 1), sk, out=dw)
-        dw *= sqrt_h
-        x56 = _running_sum(x[5:7], 0.0 * h, dw[5:7])    # rows 5, 6 at each substep
-        vel[2] = x56[0]
+        noise *= sk                 # dW = sqrt(h) * (sqrt(K) * noise)
+        noise *= sqrt_h
+        w = _running_sum(x[6], 0.0 * h, dw[6])  # turn rate at each substep
         for i in range(n_trials):
-            _turn_recursion(x[1, i], x[3, i], x56[1, i, :-1], dw[1, i], dw[3, i],
+            _turn_recursion(x[1, i], x[3, i], w[i, :-1], dw[1, i], dw[3, i],
                             h, vel[0, i], vel[1, i])
-        x[0:5:2] = _running_sum(x[0:5:2], vel[..., :-1] * h, dw[0:5:2])[..., -1]
-        x[1:6:2] = vel[..., -1]
-        x[6] = x56[1, :, -1]
+        x[6] = w[:, -1]
+        del w
+        x5 = _running_sum(x[5], 0.0 * h, dw[5])
+        x[4] = _running_sum(x[4], x5[:, :-1] * h, dw[4])[:, -1]
+        x[5] = x5[:, -1]
+        del x5
+        for r, v in ((0, vel[0]), (2, vel[1])):
+            x[r] = _running_sum(x[r], v[:, :-1] * h, dw[r])[:, -1]
+        x[1:4:2] = vel[..., -1]
         states[:, k] = x.T
         for i, rng in enumerate(rngs):
             meas[i, k] = mm.h(states[i, k]) + mm.noise_factor @ rng.standard_normal(3)
