@@ -1,9 +1,9 @@
 """Monte-Carlo benchmark harness for the radar tracking problem, plus the
 two moment-convergence studies and the Appendix-A variant comparison.
 ``make_advance`` is the one map from a filter id to its time-update.
-``BenchConfig``, ``check_filters``, ``check_jobs``, ``run_grid``,
-``convergence_study`` and ``run_appendix_a`` raise ``ValueError`` for a
-bad argument before any work.
+``BenchConfig``, ``check_filters``, ``run_grid``, ``convergence_study``
+and ``run_appendix_a`` raise ``ValueError`` for a bad argument before any
+work.
 
 Trials are deterministic: trial ``i`` always uses seed ``base_seed + i``,
 so results are independent of execution order and of how many workers run
@@ -14,7 +14,7 @@ reported as a separate count.
 
 from __future__ import annotations
 
-import numbers
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cdckf import CdckfVariant, It15Operators, cdckf_time_update
-from .errors import AllTrialsDivergent, CdFilterError
+from .errors import AllTrialsDivergent, CdFilterError, check_count
 from .lskf import VARIANTS, lskf_time_update
 from .measurement import measurement_update
 from .models import GaussianBelief, SdeModel
@@ -59,9 +59,8 @@ class BenchConfig:
     em_substeps: int = 1000
 
     def __post_init__(self):
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        _check_seed(self.base_seed)
+        check_count("trials", self.trials, 1)
+        check_count("base_seed", self.base_seed, 0)
         if not (self.omega_deg and self.intervals):
             raise ValueError("omega_deg and intervals must not be empty")
         for omega in self.omega_deg:
@@ -91,17 +90,6 @@ class BenchConfig:
             "initialization": "truth and filter both start at x0; Sigma0 is the assumed guess covariance",
             "seed_rule": "trial i uses base_seed + i",
         }
-
-
-def _check_seed(seed):
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def check_jobs(jobs):
-    """Reject a worker count that is not an integer >= 1."""
-    if not (isinstance(jobs, numbers.Integral) and jobs >= 1):
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +128,7 @@ def make_advance(filter_id: str, model: SdeModel, m: int,
     if filter_id not in FILTER_IDS:
         raise ValueError(f"unknown filter {filter_id!r} "
                          f"(choose from {', '.join(FILTER_IDS)})")
-    if not (isinstance(m, numbers.Integral) and m >= 1):
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    check_count("m", m, 1)
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if filter_id.startswith("cdckf"):
@@ -236,8 +223,9 @@ def rmse(metrics: list, quantity: str) -> float:
 
 
 def _trial_worker(args):
-    """One chunk of a grid cell: simulate the chunk's trials in one batch,
-    then run every (filter, m) on each; one list of metrics per trial."""
+    """One chunk of a grid cell: simulate the chunk's trials in one
+    ``make_trial`` call, then run every (filter, m) on each; one list of
+    metrics per trial."""
     config, omega, interval, cells, trial_indices = args
     scenario = config.scenario(omega, interval)
     trials = make_trial(scenario, [config.base_seed + i for i in trial_indices])
@@ -260,9 +248,9 @@ def run_grid(config: BenchConfig, jobs: int = 1) -> list:
     cell; trajectories are shared across filters within a cell/trial.
     Each cell's trials are split into contiguous chunks (one per worker,
     and one pool per cell, when ``jobs > 1``); a chunk simulates its
-    trials as one batch.  Returns one row dict per (filter, omega,
+    trials in one ``make_trial`` call.  Returns one row dict per (filter, omega,
     interval, m) cell."""
-    check_jobs(jobs)
+    check_count("jobs", jobs, 1)
     cells = [(f, m) for f in config.filters for m in config.m_values]
     rows = []
     for omega in config.omega_deg:
@@ -342,11 +330,10 @@ def convergence_study(problem: str, methods, step_counts):
 def check_appendix_a(factorizations: int, seed: int, a: float, b: float,
                      t_end: float) -> TransportScenario:
     """Reject bad Appendix-A arguments; returns the transport flow."""
-    _check_seed(seed)
-    if factorizations < 1:
-        raise ValueError("factorizations must be >= 1")
-    if not t_end >= 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    check_count("seed", seed, 0)
+    check_count("factorizations", factorizations, 1)
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     return TransportScenario(a, b)
 
 

@@ -14,12 +14,11 @@ the drift Hessians) from the model's analytic derivatives, and raises
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingDerivatives
+from .errors import MissingDerivatives, check_count
 from .linalg import tria
 from .models import GaussianBelief, SdeModel
 
@@ -34,8 +33,7 @@ class CdckfVariant:
     def __post_init__(self):
         if self.mode not in VARIANT_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not (isinstance(self.m, numbers.Integral) and self.m >= 1):
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        check_count("m", self.m, 1)
 
 
 class It15Operators:

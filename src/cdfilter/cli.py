@@ -32,8 +32,8 @@ from pathlib import Path
 
 from . import __version__
 from .bench import (FILTER_IDS, PROBLEMS, BenchConfig, check_appendix_a,
-                    check_filters, check_jobs, convergence_study, run_appendix_a,
-                    run_grid)
+                    check_filters, convergence_study, run_appendix_a, run_grid)
+from .errors import check_count
 from .lskf import VARIANTS
 
 RADAR_CSV_COLUMNS = ("filter", "variant", "omega_deg", "interval_s", "m",
@@ -198,7 +198,7 @@ def cmd_radar(args) -> int:
         rel_tol=args.tol_rel,
         sigma2=args.sigma2,
     )
-    check_jobs(args.jobs)
+    check_count("jobs", args.jobs, 1)
     out = _start_run(args, "radar", "radar.csv",
                      dict(config.metadata(), seed=args.seed))
     t0 = time.perf_counter()

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one check for
+a count argument."""
+
+import numbers
 
 
 class CdFilterError(Exception):
@@ -52,3 +55,12 @@ class AtStationSingularity(CdFilterError):
 
 class AllTrialsDivergent(CdFilterError):
     """RMSE requested but every trial diverged."""
+
+
+def check_count(name: str, value, minimum: int):
+    """Reject a ``value`` that is not an integer >= ``minimum`` with a
+    ``ValueError`` naming ``name``.  NumPy integers are integers; ``bool``
+    is not a count."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")

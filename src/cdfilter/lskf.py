@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_count
 from .linalg import solve_transpose
 from .models import GaussianBelief, SdeModel
 from .ode import OdeProblem, SolverSpec, integrate
@@ -38,8 +39,7 @@ def unpack_state(y: np.ndarray, d: int):
 def count_drift_evals(variant: str, d: int) -> int:
     """Drift evaluations one rhs call performs: 2d averaged, d+1 otherwise."""
     _check_variant(variant)
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    check_count("d", d, 1)
     return 2 * d if variant == "averaged" else d + 1
 
 

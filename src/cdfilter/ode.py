@@ -16,13 +16,13 @@ rejected)`` for the adaptive kind.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import MaxStepsExceeded, RecoverableRhsError, StepUnderflow
+from .errors import MaxStepsExceeded, RecoverableRhsError, StepUnderflow, check_count
 
 FIXED_KINDS = ("fixed-rk1", "fixed-rk2", "fixed-rk4")
 ADAPTIVE = "adaptive-embedded"
@@ -56,11 +56,14 @@ class SolverSpec:
     def __post_init__(self):
         if self.kind not in FIXED_KINDS + (ADAPTIVE,):
             raise ValueError(f"unknown solver kind {self.kind!r}")
-        if self.kind in FIXED_KINDS and not (
-                isinstance(self.steps, numbers.Integral) and self.steps >= 1):
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.kind == ADAPTIVE and not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("adaptive tolerances must be positive")
+        if self.kind in FIXED_KINDS:
+            check_count("steps", self.steps, 1)
+        # an infinite tolerance makes the error scale infinite, so every
+        # step would be accepted
+        if self.kind == ADAPTIVE and not (0 < self.abs_tol < math.inf
+                                          and 0 < self.rel_tol < math.inf):
+            raise ValueError("adaptive tolerances must be positive and finite")
+        check_count("max_steps", self.max_steps, 1)
 
 
 @dataclass

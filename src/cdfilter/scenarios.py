@@ -15,7 +15,7 @@ from itertools import count
 
 import numpy as np
 
-from .errors import AtStationSingularity
+from .errors import AtStationSingularity, check_count
 from .linalg import cholesky_lower
 from .models import GaussianBelief, LinearSystem, MeasurementModel, SdeModel
 
@@ -90,11 +90,9 @@ class RadarScenario:
         if not 0 < self.interval <= self.horizon:
             raise ValueError(f"interval {self.interval:g} s is outside "
                              f"(0, {self.horizon:g}] (the horizon)")
-        if not (math.isfinite(self.omega0_deg) and 0 <= self.sigma2 < math.inf
-                and isinstance(self.em_substeps, numbers.Integral)
-                and self.em_substeps >= 1):
-            raise ValueError("omega0_deg must be finite, sigma2 finite and >= 0, "
-                             "and em_substeps an integer >= 1")
+        check_count("em_substeps", self.em_substeps, 1)
+        if not (math.isfinite(self.omega0_deg) and 0 <= self.sigma2 < math.inf):
+            raise ValueError("omega0_deg must be finite, and sigma2 finite and >= 0")
 
     @property
     def omega0(self) -> float:
@@ -138,30 +136,30 @@ class Trajectory:
 
 
 def _seed_list(rng_seed) -> list:
-    if isinstance(rng_seed, numbers.Integral):
-        return [rng_seed]
-    seeds = list(rng_seed)
+    """The seeds of one seed or of a sequence of seeds, each an integer
+    >= 0."""
+    seeds = [rng_seed] if isinstance(rng_seed, numbers.Number) else list(rng_seed)
     if not seeds:
         raise ValueError("rng_seed is an empty sequence; give at least one seed")
+    for seed in seeds:
+        check_count("seed", seed, 0)
     return seeds
 
 
 def _running_sum(x0, a, b) -> np.ndarray:
-    """Every value of ``x_{j+1} = (x_j + a_j) + b_j`` along the last axis,
-    ``x_0`` to ``x_n``, added in exactly that order.
+    """Every value of ``x_{j+1} = (x_j + a_j) + b_j``, ``x_0`` to ``x_n``,
+    added in exactly that order; ``a`` is a scalar or has ``b``'s length n.
 
     ``np.add.accumulate`` over the interleaved ``[x_0, a_0, b_0, a_1, b_1,
     ...]`` is sequential, so it rounds as the loop does (``np.sum`` would
-    add pairwise).  ``a`` broadcasts against ``b``, whose last axis has
-    the n steps; ``x0`` has ``b``'s shape without that axis.
+    add pairwise).
     """
-    n = np.shape(b)[-1]
-    buf = np.empty(np.shape(x0) + (2 * n + 1,))
-    buf[..., 0] = x0
-    buf[..., 1::2] = a
-    buf[..., 2::2] = b
-    np.add.accumulate(buf, axis=-1, out=buf)
-    return buf[..., ::2]
+    buf = np.empty(2 * len(b) + 1)
+    buf[0] = x0
+    buf[1::2] = a
+    buf[2::2] = b
+    np.add.accumulate(buf, out=buf)
+    return buf[::2]
 
 
 def _turn_recursion(x1, x3, w, e1, e3, h, out1, out3):
@@ -185,67 +183,58 @@ def simulate_truth(scenario: RadarScenario, rng_seed):
     ``em_substeps`` steps per measurement interval.
 
     ``rng_seed`` is one seed, which returns one ``Trajectory``, or a
-    sequence of seeds, which returns one ``Trajectory`` per seed.  Trial i
-    draws only from ``default_rng(seeds[i])``, in this order: per interval
-    one (em_substeps, 7) block of process noise, then three
-    measurement-noise normals.  Each trajectory is bitwise equal to the
-    plain loop ``x <- (x + h f(x)) + dW`` over substeps for that seed
-    alone, whatever other seeds share the call.
+    sequence of seeds, which returns one ``Trajectory`` per seed; a seed
+    is an integer >= 0.  Trial i draws only from ``default_rng(seeds[i])``,
+    in this order: per interval one (em_substeps, 7) block of process
+    noise, then three measurement-noise normals.  Each trajectory is
+    bitwise equal to the plain loop ``x <- (x + h f(x)) + dW`` over
+    substeps for that seed.
 
-    The loop is run one state component at a time over a whole interval.
-    The drift is ``[x1, -x6 x3, x3, x6 x1, x5, 0, 0]``, so rows 5 and 6
-    are random walks, ``x <- (x + 0 h) + dW`` (the ``0 h`` keeps the sign
-    a zero gets in the loop), and each position row 0, 2, 4 is
-    ``x <- (x + h v) + dW`` over the history of its velocity row 1, 3, 5.
-    These are running sums (``_running_sum``), taken for all trials at
-    once and one row at a time, so that besides the interval's noise only
-    a few rows of history are alive: row 6 first, then rows 1 and 3, then
-    row 5, 4, 0 and 2.  Rows 1 and 3 are the one nonlinear pair, stepped
-    per trial in Python floats (``_turn_recursion``) over the turn-rate
-    history.  That recursion costs the same for every trial, so the cost
-    of a call grows with N: a batch shares the running sums (about a
-    third of a one-trial call) but not the recursion.  This favours small
-    batches; a 100-trial batch (one radar cell at ``--jobs 1``) pays about
-    0.15 us per trial and substep for the recursion alone.
+    The trials are simulated one after another, each by the same one-trial
+    kernel, which runs the loop one state component at a time over a
+    whole interval.  The drift is ``[x1, -x6 x3, x3, x6 x1, x5, 0, 0]``,
+    so rows 5 and 6 are random walks, ``x <- (x + 0 h) + dW`` (the ``0 h``
+    keeps the sign a zero gets in the loop), and each position row 0, 2,
+    4 is ``x <- (x + h v) + dW`` over the history of its velocity row 1,
+    3, 5.  These are running sums (``_running_sum``), taken in the order
+    row 6, then rows 1 and 3, then rows 5, 4, 0 and 2.  Rows 1 and 3 are
+    the one nonlinear pair, stepped in Python floats (``_turn_recursion``)
+    over the turn-rate history.  Time and memory are per trial: N seeds
+    cost N one-trial runs (the recursion alone about 0.15 us per
+    substep), and the working buffers are one trial's whatever N is
+    (about 0.16 MB at 1000 substeps).
     """
-    seeds = _seed_list(rng_seed)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    n_trials = len(seeds)
     mm = scenario.measurement_model()
     sk = np.diag(scenario.sde_model().diffusion_factor)
     times = scenario.measurement_times()
     n_sub = scenario.em_substeps
     h = scenario.interval / n_sub
     sqrt_h = math.sqrt(h)
-    x = np.repeat(scenario.initial_state()[:, None], n_trials, axis=1)
-    states = np.empty((n_trials, len(times), 7))
-    meas = np.empty((n_trials, len(times), 3))
-    noise = np.empty((n_trials, n_sub, 7))
-    dw = noise.transpose(2, 0, 1)                # component, trial, substep
-    vel = np.empty((2, n_trials, n_sub + 1))     # rows 1, 3 at each substep
-    for k in range(len(times)):
-        for i, rng in enumerate(rngs):
-            noise[i] = rng.standard_normal((n_sub, 7))
-        noise *= sk                 # dW = sqrt(h) * (sqrt(K) * noise)
-        noise *= sqrt_h
-        w = _running_sum(x[6], 0.0 * h, dw[6])  # turn rate at each substep
-        for i in range(n_trials):
-            _turn_recursion(x[1, i], x[3, i], w[i, :-1], dw[1, i], dw[3, i],
-                            h, vel[0, i], vel[1, i])
-        x[6] = w[:, -1]
-        del w
-        x5 = _running_sum(x[5], 0.0 * h, dw[5])
-        x[4] = _running_sum(x[4], x5[:, :-1] * h, dw[4])[:, -1]
-        x[5] = x5[:, -1]
-        del x5
-        for r, v in ((0, vel[0]), (2, vel[1])):
-            x[r] = _running_sum(x[r], v[:, :-1] * h, dw[r])[:, -1]
-        x[1:4:2] = vel[..., -1]
-        states[:, k] = x.T
-        for i, rng in enumerate(rngs):
-            meas[i, k] = mm.h(states[i, k]) + mm.noise_factor @ rng.standard_normal(3)
-    trajectories = [Trajectory(times=times, truth_states=states[i], measurements=meas[i])
-                    for i in range(n_trials)]
+
+    def one_trial(seed):
+        rng = np.random.default_rng(seed)
+        x = scenario.initial_state()
+        states = np.empty((len(times), 7))
+        meas = np.empty((len(times), 3))
+        noise = np.empty((n_sub, 7))
+        dw = noise.T                        # component, substep
+        vel = np.empty((2, n_sub + 1))      # rows 1, 3 at each substep
+        for k in range(len(times)):
+            rng.standard_normal(out=noise)
+            noise *= sk                     # dW = sqrt(h) * (sqrt(K) * noise)
+            noise *= sqrt_h
+            w = _running_sum(x[6], 0.0 * h, dw[6])  # turn rate at each substep
+            _turn_recursion(x[1], x[3], w[:-1], dw[1], dw[3], h, vel[0], vel[1])
+            x5 = _running_sum(x[5], 0.0 * h, dw[5])
+            x[4] = _running_sum(x[4], x5[:-1] * h, dw[4])[-1]
+            x[0] = _running_sum(x[0], vel[0, :-1] * h, dw[0])[-1]
+            x[2] = _running_sum(x[2], vel[1, :-1] * h, dw[2])[-1]
+            x[1], x[3], x[5], x[6] = vel[0, -1], vel[1, -1], x5[-1], w[-1]
+            states[k] = x
+            meas[k] = mm.h(x) + mm.noise_factor @ rng.standard_normal(3)
+        return Trajectory(times=times, truth_states=states, measurements=meas)
+
+    trajectories = [one_trial(seed) for seed in _seed_list(rng_seed)]
     return trajectories[0] if isinstance(rng_seed, numbers.Integral) else trajectories
 
 

@@ -10,7 +10,6 @@ from cdfilter.bench import (
     TrialMetrics,
     _filter_loop,
     check_appendix_a,
-    check_jobs,
     convergence_study,
     make_advance,
     rmse,
@@ -18,7 +17,9 @@ from cdfilter.bench import (
     run_grid,
     run_trial,
 )
+from cdfilter.errors import check_count
 from cdfilter.linalg import lyapunov_oracle
+from cdfilter.lskf import count_drift_evals
 from cdfilter.scenarios import make_trial, oscillator_scenario, simulate_truth
 
 # a cheap single-cell configuration used by several tests
@@ -51,7 +52,8 @@ class TestConfig:
             with pytest.raises(ValueError):
                 BenchConfig(filters=("lskf-adaptive",), **tol)
 
-    @pytest.mark.parametrize("tol", [{"abs_tol": np.nan}, {"rel_tol": np.nan}])
+    @pytest.mark.parametrize("tol", [{"abs_tol": np.nan}, {"rel_tol": np.nan},
+                                     {"abs_tol": np.inf}, {"rel_tol": np.inf}])
     def test_nan_tolerance_rejected(self, tol):
         with pytest.raises(ValueError):
             SolverSpec("adaptive-embedded", **tol)
@@ -99,6 +101,9 @@ class TestRejectedBeforeWork:
         {"em_substeps": 2.5},
         {"base_seed": -1},
         {"base_seed": 1.5},
+        {"trials": True},
+        {"base_seed": True},
+        {"em_substeps": True},
     ])
     def test_bench_config(self, no_work, kwargs):
         with pytest.raises(ValueError):
@@ -115,23 +120,24 @@ class TestRejectedBeforeWork:
             convergence_study("linear-fp", methods, steps)
 
     @pytest.mark.parametrize("factorizations, t_end", [
-        (0, 1.0), (4, -1.0), (4, np.nan),
+        (0, 1.0), (4, -1.0), (4, np.nan), (4, np.inf),
+        (2.5, 1.0), (np.nan, 1.0), (True, 1.0),
     ])
     def test_appendix_a(self, no_work, factorizations, t_end):
         with pytest.raises(ValueError):
             run_appendix_a(factorizations, 1, 0.5, 1.0, t_end)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_appendix_a_seed(self, no_work, seed):
         with pytest.raises(ValueError, match="seed"):
             check_appendix_a(4, seed, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError, match="seed"):
             run_appendix_a(4, seed, 0.5, 1.0, 1.0)
 
-    @pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", None])
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", None, True])
     def test_run_grid_jobs(self, no_work, jobs):
         with pytest.raises(ValueError, match="jobs"):
-            check_jobs(jobs)
+            check_count("jobs", jobs, 1)
         with pytest.raises(ValueError, match="jobs"):
             run_grid(BenchConfig(trials=1, **_FAST), jobs=jobs)
 
@@ -145,9 +151,24 @@ class TestRejectedBeforeWork:
         for filter_id in FILTER_IDS:
             with pytest.raises(ValueError, match="integer"):
                 make_advance(filter_id, RadarScenario().sde_model(), 2.5)
+        for max_steps in (2.5, 0, -1, True):
+            with pytest.raises(ValueError, match="integer"):
+                SolverSpec("adaptive-embedded", max_steps=max_steps)
+        for d in (2.5, True):
+            with pytest.raises(ValueError, match="integer"):
+                count_drift_evals("averaged", d)
+        sc = RadarScenario(em_substeps=10)
+        for seed in (1.5, True, -1, np.nan, [1, 1.5], (7, True)):
+            for fn in (simulate_truth, make_trial):
+                with pytest.raises(ValueError, match="seed"):
+                    fn(sc, seed)
         # numpy integers are integers
         BenchConfig(trials=np.int64(2), m_values=(np.int64(2),),
-                    em_substeps=np.int64(50))
+                    em_substeps=np.int64(50), base_seed=np.int64(5))
+        SolverSpec("adaptive-embedded", max_steps=np.int64(5))
+        assert count_drift_evals("averaged", np.int64(3)) == 6
+        check_appendix_a(np.int64(4), np.int64(1), 0.5, 1.0, 1.0)
+        assert len(make_trial(sc, [np.int64(7), 8])) == 2
 
     def test_unknown_id_message_lists_the_ids(self):
         with pytest.raises(ValueError, match="cdckf-proper"):

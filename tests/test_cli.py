@@ -202,6 +202,7 @@ class TestConfigAndErrors:
         ["appendix-a", "--seed", "-1"],
         ["radar", "--jobs", "0"],
         ["radar", "--jobs", "-3"],
+        ["radar", "--tol-abs", "inf"],
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

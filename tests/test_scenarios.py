@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def acceptance_5_cell(request):
 
 
 class TestBatchedTruthEqualsPerTrialLoop:
-    """Every trajectory of the (7, N) kernel equals the per-trial loop,
+    """Every trajectory of ``simulate_truth`` equals the per-trial loop,
     whatever the batch it was simulated in."""
 
     def test_cell_one_seed_at_a_time(self, acceptance_5_cell):
@@ -282,14 +283,11 @@ class TestRunningSum:
         got = _running_sum(x0, a, b)
         assert got.tobytes() == np.array(want).tobytes()
 
-    def test_rows_are_independent_and_a_broadcasts(self):
-        rng = np.random.default_rng(3)
-        x0 = rng.standard_normal((2, 3))
-        b = rng.standard_normal((2, 3, 50))
-        got = _running_sum(x0, 0.0, b)
-        assert got.shape == (2, 3, 51)
-        for idx in np.ndindex(2, 3):
-            assert got[idx].tobytes() == _running_sum(x0[idx], np.zeros(50), b[idx]).tobytes()
+    def test_scalar_a_broadcasts(self):
+        b = np.random.default_rng(3).standard_normal(50)
+        got = _running_sum(0.7, 0.0, b)
+        assert got.shape == (51,)
+        assert got.tobytes() == _running_sum(0.7, np.zeros(50), b).tobytes()
 
 
 class TestBatchedTrials:
@@ -316,6 +314,31 @@ class TestBatchedTrials:
     def test_empty_seed_sequence_rejected(self, fn):
         with pytest.raises(ValueError, match="empty"):
             fn(RadarScenario(em_substeps=10), [])
+
+
+def _transient_peak(scenario, seeds):
+    """Peak minus retained traced memory of one ``simulate_truth`` call:
+    what its working buffers took."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        trajectories = simulate_truth(scenario, seeds)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(trajectories) == len(seeds)
+    return peak - retained
+
+
+class TestTruthMemory:
+    def test_working_set_is_one_trials_whatever_the_batch(self):
+        sc = RadarScenario(omega0_deg=12.0, interval=6.0, em_substeps=1000)
+        one = _transient_peak(sc, _SEEDS[:1])
+        twenty = _transient_peak(sc, _SEEDS[:20])
+        assert twenty <= 1.5 * one
 
 
 class TestLinearScenarios:
