@@ -8,6 +8,8 @@ form makes regression values deterministic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dtrtrs
 
@@ -45,6 +47,14 @@ def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
     return L
 
 
+@lru_cache(maxsize=None)
+def _lower_mask(d: int) -> np.ndarray:
+    """The (read-only) boolean mask ``np.tril`` builds on every call."""
+    mask = np.tri(d, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def tria(a: np.ndarray) -> np.ndarray:
     """Triangularize: lower-triangular L with L @ L.T == A @ A.T.
 
@@ -59,10 +69,10 @@ def tria(a: np.ndarray) -> np.ndarray:
     if n < d:
         raise ValueError(f"tria needs n >= d, got {d}x{n}")
     qr = dgeqrf(a.T)[0]
-    L = np.tril(qr[:d, :d].T)
-    signs = np.sign(np.diag(L))
-    signs[signs == 0.0] = 1.0
-    return L * signs[np.newaxis, :]
+    L = np.where(_lower_mask(d), qr[:d, :d].T, 0.0)   # np.tril, to the bit
+    # canonical form: negate the columns with a negative diagonal entry
+    np.multiply(L, -1.0, out=L, where=L.diagonal() < 0.0)
+    return L
 
 
 def solve_transpose(m: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -80,7 +90,7 @@ def solve_transpose(m: np.ndarray, k: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     k = np.asarray(k, dtype=float)
     lu, piv, info = dgetrf(m)
-    if info > 0 or np.min(np.abs(np.diag(lu))) < 1e-14 * np.linalg.norm(m):
+    if info > 0 or abs(lu.diagonal()).min() < 1e-14 * np.linalg.norm(m):
         raise SingularFactor("factor M is numerically singular")
     # X M^T = K  <=>  M X^T = K^T
     return dgetrs(lu, piv, k.T)[0].T

@@ -59,16 +59,16 @@ def lskf_rhs(t: float, mean: np.ndarray, factor: np.ndarray, model: SdeModel,
     _check_variant(variant)
     d = model.dim
     v = model.drift
-    # row i is the point mean +/- column i (contiguous, one drift call each)
-    forward = np.empty((d, d))
-    for i, point in enumerate(mean + factor.T):
-        forward[:, i] = v(point, t)
+    # column i is the drift at the point mean + column i; the points are
+    # the contiguous rows of mean + factor.T (one drift call each), and
+    # stacking them in Fortran order makes forward's rows contiguous
+    forward = np.array([v(point, t) for point in mean + factor.T], order="F").T
     if variant == "standard":
         center = v(mean, t)
     elif variant == "averaged":
         acc = forward.sum(axis=1)
         for point in mean - factor.T:
-            acc = acc + v(point, t)
+            acc += v(point, t)
         center = acc / (2 * d)
     else:  # partial: reuse the d forward points, one backward point
         backward = v(mean - factor[:, 0], t)
@@ -76,7 +76,7 @@ def lskf_rhs(t: float, mean: np.ndarray, factor: np.ndarray, model: SdeModel,
     dfactor = forward - center[:, np.newaxis]
     if model.has_noise:
         # noise-free models stay valid even with a singular factor
-        dfactor = dfactor + 0.5 * solve_transpose(factor, model.noise_cov())
+        dfactor += 0.5 * solve_transpose(factor, model.noise_cov())
     return center, dfactor
 
 
@@ -93,13 +93,17 @@ def lskf_time_update(belief: GaussianBelief, model: SdeModel, variant: str,
     if t1 == belief.time:
         return belief
     d = model.dim
+    n = d * (d + 1)
 
     def rhs(t, y):
-        mean, factor = unpack_state(y, d)
-        dmean, dfactor = lskf_rhs(t, mean, factor, model, variant)
-        return pack_state(dmean, dfactor)
+        dmean, dfactor = lskf_rhs(t, *unpack_state(y, d), model, variant)
+        # written straight into the solver vector, in pack_state's layout
+        out = np.empty(n)
+        out[:d] = dmean
+        out[d:].reshape(d, d).T[...] = dfactor
+        return out
 
-    problem = OdeProblem(dim=d * (d + 1), rhs=rhs, t0=belief.time, t1=t1,
+    problem = OdeProblem(dim=n, rhs=rhs, t0=belief.time, t1=t1,
                          y0=pack_state(belief.mean, belief.factor))
     y1, _ = integrate(problem, spec)
     mean, factor = unpack_state(y1, d)

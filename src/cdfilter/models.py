@@ -54,7 +54,9 @@ class SdeModel:
 
     ``drift_jacobian`` and ``drift_hessians`` are only needed by the
     Ito-Taylor baseline; the level-set filter never evaluates them.
-    ``drift_hessians(x, t)[i]`` is the d x d Hessian of drift component i.
+    ``drift_hessians(x, t)[i]`` is the d x d Hessian of drift component i;
+    the array may be read-only (a model with constant Hessians can return
+    one shared array), so callers must not write to it.
 
     K and ``has_noise`` (K has a nonzero entry) are computed once, at
     construction; ``dataclasses.replace`` recomputes them.

@@ -95,6 +95,16 @@ _DP_A_NZ = [[(j, a) for j, a in enumerate(row) if a != 0.0] for row in _DP_A]
 _DP_E_NZ = [(j, e) for j, e in enumerate(_DP_E) if e != 0.0]
 
 
+def _stage_sum(pairs, ks):
+    """``sum(c * ks[j] for j, c in pairs)`` without the generator: the same
+    additions in the same order, ``0 + c0 k0 + c1 k1 + ...``.  The first
+    ``+=`` makes a new array; the rest add in place."""
+    acc = 0.0
+    for j, c in pairs:
+        acc += c * ks[j]
+    return acc
+
+
 def _fixed_step(kind, rhs, t, y, h, stats):
     if kind == "fixed-rk1":
         stats.rhs_evals += 1
@@ -157,7 +167,7 @@ def _integrate_adaptive(problem, spec):
         try:
             for i in range(1, 7):
                 # the last stage's point is the 5th-order solution (a[6] == b5)
-                yi = y + h * sum(a * ks[j] for j, a in _DP_A_NZ[i])
+                yi = y + h * _stage_sum(_DP_A_NZ[i], ks)
                 ks[i] = rhs(t + _DP_C[i] * h, yi)
                 stats.rhs_evals += 1
         except RecoverableRhsError:
@@ -168,7 +178,7 @@ def _integrate_adaptive(problem, spec):
             h *= 0.5
             continue
         consecutive_failures = 0
-        err = h * sum(e * ks[j] for j, e in _DP_E_NZ)
+        err = h * _stage_sum(_DP_E_NZ, ks)
         scale = spec.abs_tol + spec.rel_tol * np.linalg.norm(y)
         ratio = np.linalg.norm(err) / scale
         if ratio <= 1.0:

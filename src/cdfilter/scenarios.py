@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import count
 
@@ -28,37 +29,53 @@ RADAR_STATION = np.array([1500.0, 10.0, 0.0])
 # coordinated-turn aircraft model (state [e, de, n, dn, z, dz, w])
 # ---------------------------------------------------------------------------
 
+# The callbacks below run once per cubature point, so they read the state
+# once with ``tolist`` and compute in Python floats: the same IEEE double
+# arithmetic as numpy's scalars, without their per-operation cost or their
+# overflow warnings.
+
 def coordinated_turn_drift(x: np.ndarray, t: float = 0.0) -> np.ndarray:
     """Constant-speed turn dynamics; the turn rate w is itself a state."""
-    return np.array([x[1], -x[6] * x[3], x[3], x[6] * x[1], x[5], 0.0, 0.0])
+    _, x1, _, x3, _, x5, w = x.tolist()
+    return np.array([x1, -w * x3, x3, w * x1, x5, 0.0, 0.0])
+
+
+# the constant entries of the Jacobian: each position moves with its velocity
+_TURN_JACOBIAN = np.zeros((7, 7))
+_TURN_JACOBIAN[0, 1] = _TURN_JACOBIAN[2, 3] = _TURN_JACOBIAN[4, 5] = 1.0
 
 
 def coordinated_turn_jacobian(x: np.ndarray, t: float = 0.0) -> np.ndarray:
-    J = np.zeros((7, 7))
-    J[0, 1] = 1.0
-    J[1, 3] = -x[6]
-    J[1, 6] = -x[3]
-    J[2, 3] = 1.0
-    J[3, 1] = x[6]
-    J[3, 6] = x[1]
-    J[4, 5] = 1.0
+    _, x1, _, x3, _, _, w = x.tolist()
+    J = _TURN_JACOBIAN.copy()
+    J[1, 3] = -w
+    J[1, 6] = -x3
+    J[3, 1] = w
+    J[3, 6] = x1
     return J
 
 
+# only the turn-rate/velocity cross terms are curved, and their Hessians do
+# not depend on the state: one read-only array serves every call
+_TURN_HESSIANS = np.zeros((7, 7, 7))
+_TURN_HESSIANS[1, 3, 6] = _TURN_HESSIANS[1, 6, 3] = -1.0
+_TURN_HESSIANS[3, 1, 6] = _TURN_HESSIANS[3, 6, 1] = 1.0
+_TURN_HESSIANS.flags.writeable = False
+
+
 def coordinated_turn_hessians(x: np.ndarray, t: float = 0.0) -> np.ndarray:
-    # only the turn-rate/velocity cross terms are curved
-    H = np.zeros((7, 7, 7))
-    H[1, 3, 6] = H[1, 6, 3] = -1.0
-    H[3, 1, 6] = H[3, 6, 1] = 1.0
-    return H
+    """The drift Hessians, a constant: the returned array is read-only."""
+    return _TURN_HESSIANS
 
 
 def radar_measure(x: np.ndarray, station: np.ndarray = RADAR_STATION) -> np.ndarray:
     """Range, azimuth, elevation of a coordinated-turn state as seen from
     the station.  Azimuth uses the two-argument arctangent."""
-    dx = x[0] - station[0]
-    dy = x[2] - station[1]
-    dz = x[4] - station[2]
+    e, _, n, _, z, _, _ = x.tolist()
+    se, sn, sz = station.tolist()
+    dx = e - se
+    dy = n - sn
+    dz = z - sz
     horiz = math.hypot(dx, dy)
     if horiz <= 0.0:
         raise AtStationSingularity("target directly above the station")
@@ -137,8 +154,10 @@ class Trajectory:
 
 def _seed_list(rng_seed) -> list:
     """The seeds of one seed or of a sequence of seeds, each an integer
-    >= 0."""
-    seeds = [rng_seed] if isinstance(rng_seed, numbers.Number) else list(rng_seed)
+    >= 0.  A string or any other non-sequence is one (bad) seed, so the
+    ``ValueError`` names it whole."""
+    one = isinstance(rng_seed, (str, bytes)) or not isinstance(rng_seed, Iterable)
+    seeds = [rng_seed] if one else list(rng_seed)
     if not seeds:
         raise ValueError("rng_seed is an empty sequence; give at least one seed")
     for seed in seeds:

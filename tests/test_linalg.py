@@ -96,14 +96,15 @@ class TestTria:
 
         rng = np.random.default_rng(4)
         cases = [np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-                 np.zeros((3, 5))]
+                 np.zeros((3, 5)), -np.eye(4), np.array([[-0.0, 1.0], [0.0, -2.0]])]
         for _ in range(500):
             d = int(rng.integers(1, 9))
             A = rng.standard_normal((d, int(rng.integers(d, d + 31))))
             A[:, rng.random(A.shape[1]) < 0.2] = 0.0    # some zero columns
             cases.append(A)
         for A in cases:
-            assert np.array_equal(tria(A), reference(A))
+            # to the bit, signed zeros included
+            assert tria(A).tobytes() == reference(A).tobytes()
 
 
 class TestSolveTranspose:

@@ -15,8 +15,10 @@ from cdfilter import (
     RadarScenario,
     cholesky_lower,
     measurement_update,
+    radar_measure,
     wrap_angles,
 )
+from cdfilter.scenarios import RADAR_STATION
 
 
 def _kalman_reference(mean, sigma, H, R, y):
@@ -189,3 +191,119 @@ class TestMeasurementUpdate:
                               noise_factor=np.array([[1.0]]))
         _, diag = measurement_update(belief, mm, np.array([1.0]))
         np.testing.assert_allclose(diag.predicted_measurement, [1.0], atol=1e-12)
+
+
+class TestInnovationFactor:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_is_the_innovation_covariance_factor(self, seed):
+        # T11 @ T11.T is the covariance-form Pyy = Yc Yc^T / 2d + R, with
+        # Yc the centered cubature predictions (away from the azimuth cut)
+        rng = np.random.default_rng(seed)
+        sc = RadarScenario()
+        mm = sc.measurement_model()
+        mean = sc.initial_state() + rng.standard_normal(7)
+        factor = cholesky_lower(sc.initial_covariance()) @ (
+            np.eye(7) + 0.3 * rng.standard_normal((7, 7)))
+        _, diag = measurement_update(GaussianBelief(mean, factor), mm,
+                                     mm.h(mean) + rng.standard_normal(3) * 0.01)
+        pts = mean[:, None] + math.sqrt(7) * np.concatenate([factor, -factor], axis=1)
+        Y = np.column_stack([mm.h(p) for p in pts.T])
+        Yc = Y - Y.mean(axis=1, keepdims=True)
+        pyy = Yc @ Yc.T / 14 + mm.noise_factor @ mm.noise_factor.T
+        T11 = diag.innovation_factor
+        assert T11.shape == (3, 3)
+        assert np.allclose(np.triu(T11, 1), 0.0)
+        assert np.linalg.norm(T11 @ T11.T - pyy) <= 1e-9 * np.linalg.norm(pyy)
+
+
+def _rotation(phi):
+    """The 7 x 7 rotation of a coordinated-turn state's horizontal position
+    and velocity by ``phi`` about the vertical axis."""
+    c, s = math.cos(phi), math.sin(phi)
+    R = np.eye(7)
+    R[np.ix_([0, 2], [0, 2])] = R[np.ix_([1, 3], [1, 3])] = [[c, -s], [s, c]]
+    return R
+
+
+def _rotated_update(mean, factor, y, phi):
+    """The radar update of a belief and a measurement rotated about the
+    station by ``phi``, with the posterior rotated back."""
+    sc = RadarScenario()
+    station = np.zeros(7)
+    station[[0, 2, 4]] = RADAR_STATION
+    R = _rotation(phi)
+    y_rot = wrap_angles(y + np.array([0.0, phi, 0.0]), np.array([False, True, False]))
+    post, diag = measurement_update(
+        GaussianBelief(station + R @ (mean - station), R @ factor),
+        sc.measurement_model(), y_rot)
+    return station + R.T @ (post.mean - station), R.T @ post.covariance() @ R, diag
+
+
+class TestAzimuthCut:
+    # a target 2 km west of the station: azimuth ~ pi, and the radar
+    # prior's cubature points straddle the cut at +/-pi
+    WEST = np.array([RADAR_STATION[0] - 2000.0, 0.0, RADAR_STATION[1] + 0.5,
+                     0.0, 0.0, 0.0, 0.1])
+
+    def test_noise_free_measurement_of_the_mean_leaves_it_in_place(self):
+        sc = RadarScenario()
+        factor = cholesky_lower(sc.initial_covariance())
+        y = radar_measure(self.WEST)
+        post, diag = measurement_update(GaussianBelief(self.WEST, factor),
+                                        sc.measurement_model(), y)
+        assert abs(diag.predicted_measurement[1] - y[1]) < 1e-6
+        assert -np.pi < diag.predicted_measurement[1] <= np.pi
+        assert np.linalg.norm(post.mean - self.WEST) < 0.01
+        # the north s.d. is what it is 30 m further north, off the cut
+        north = self.WEST.copy()
+        north[2] += 30.0
+        off_cut, _ = measurement_update(GaussianBelief(north, factor),
+                                        sc.measurement_model(), radar_measure(north))
+        sd = math.sqrt(post.covariance()[2, 2])
+        sd_off = math.sqrt(off_cut.covariance()[2, 2])
+        assert abs(sd - sd_off) < 0.01 * sd_off
+
+    def test_rotation_invariance_oracle(self):
+        # rotating the geometry about the station moves the azimuth near 0,
+        # where no cut is crossed; the posterior must rotate with it
+        sc = RadarScenario()
+        factor = cholesky_lower(sc.initial_covariance())
+        y = radar_measure(self.WEST) + np.array([20.0, 0.001, -0.001])
+        post, _ = measurement_update(GaussianBelief(self.WEST, factor),
+                                     sc.measurement_model(), y)
+        mean_rot, cov_rot, diag = _rotated_update(self.WEST, factor, y, -np.pi)
+        assert abs(diag.predicted_measurement[1]) < 0.01
+        assert np.linalg.norm(post.mean - mean_rot) <= 1e-9 * np.linalg.norm(self.WEST)
+        cov = post.covariance()
+        assert np.linalg.norm(cov - cov_rot) <= 1e-9 * np.linalg.norm(cov)
+
+    @given(r=st.floats(500.0, 5000.0), north=st.floats(-1.0, 1.0),
+           sd=st.floats(1.0, 30.0), phi=st.floats(-math.pi, math.pi),
+           noise=st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_beliefs_straddling_the_cut_rotate_with_the_geometry(
+            self, r, north, sd, phi, noise, seed):
+        # a target west of the station, less than one prior s.d. north or
+        # south of it, so that its cubature points fall on both sides of
+        # the cut; any rotation about the station must commute with the
+        # update
+        rng = np.random.default_rng(seed)
+        sc = RadarScenario()
+        mm = sc.measurement_model()
+        mean = np.array([RADAR_STATION[0] - r, rng.standard_normal(),
+                         RADAR_STATION[1] + north * sd, rng.standard_normal(),
+                         rng.normal(0.0, 100.0), rng.standard_normal(), 0.1])
+        scale = np.array([sd, 1.0, sd, 1.0, sd, 1.0, 0.1])
+        # unit diagonal: the north column alone puts points 2.6 s.d. either side
+        factor = scale[:, None] * (np.eye(7) + 0.2 * np.tril(rng.standard_normal((7, 7)), -1))
+        pts = mean[:, None] + math.sqrt(7) * np.concatenate([factor, -factor], axis=1)
+        azimuths = [radar_measure(p)[1] for p in pts.T]
+        assert max(azimuths) - min(azimuths) > np.pi
+        y = wrap_angles(radar_measure(mean) + np.diag(mm.noise_factor) * noise,
+                        mm.residual_wrap)
+        post, diag = measurement_update(GaussianBelief(mean, factor), mm, y)
+        assert -np.pi < diag.predicted_measurement[1] <= np.pi
+        mean_rot, cov_rot, _ = _rotated_update(mean, factor, y, phi)
+        assert np.linalg.norm(post.mean - mean_rot) <= 1e-9 * np.linalg.norm(mean)
+        cov = post.covariance()
+        assert np.linalg.norm(cov - cov_rot) <= 1e-8 * np.linalg.norm(cov)

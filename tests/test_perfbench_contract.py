@@ -15,6 +15,7 @@ import cdfilter.cdckf
 import cdfilter.cli  # noqa: F401 - the tracer swaps names in loaded modules
 import cdfilter.lskf
 import cdfilter.measurement
+import cdfilter.ode
 import cdfilter.scenarios
 from cdfilter import GaussianBelief, cholesky_lower
 
@@ -93,3 +94,60 @@ def test_tracer_counts_one_batched_chunk(tmp_path):
     assert calls["scenarios.make_trial"] == 1
     assert calls["bench.worker"] == 1
     assert calls["models.h"] == 3 * n_meas * (1 + 2 * d)
+
+
+def _traced_calls(tmp_path, run):
+    """Run ``run(scenario)`` under the tracer; its calls per layer and the
+    ``SolveStats`` it captured."""
+    layertrace = _layertrace()
+    tracer = layertrace.Tracer(tmp_path / "spans")
+    tracer.install()
+    try:
+        run(cdfilter.scenarios.RadarScenario(omega0_deg=12.0, interval=4.0))
+        calls = {name: stats[0] for name, stats in tracer.layers.items()}
+        solve = dict(tracer.solve)
+    finally:
+        tracer.uninstall()
+    return calls, solve
+
+
+def _initial_belief(sc):
+    return GaussianBelief(mean=sc.initial_state(),
+                          factor=cholesky_lower(sc.initial_covariance()))
+
+
+def test_tracer_counts_the_level_set_identities(tmp_path):
+    # `perfbench/run.py --trace 1` checks these on track-lskf: one drift
+    # call per cubature point (2d = 14 for the averaged variant) in every
+    # rhs, one rhs per solver evaluation, one diffusion solve per rhs
+    def run(sc):
+        spec = cdfilter.ode.SolverSpec(kind="adaptive-embedded",
+                                       abs_tol=1e-8, rel_tol=1e-8)
+        cdfilter.lskf.lskf_time_update(_initial_belief(sc), sc.sde_model(),
+                                       "averaged", sc.interval, spec)
+
+    calls, solve = _traced_calls(tmp_path, run)
+    assert calls["lskf.time_update"] == calls["ode.integrate"] == 1
+    assert solve["rhs_evals"] > 0
+    assert calls["lskf.rhs"] == solve["rhs_evals"]
+    assert calls["models.drift"] == 14 * calls["lskf.rhs"]
+    assert calls["linalg.solve_transpose"] == calls["lskf.rhs"]
+
+
+def test_tracer_counts_the_cubature_identities(tmp_path):
+    # per substep two drift calls, one Jacobian and one Hessian per point;
+    # paper-faithful builds its noise blocks (one more Jacobian) once
+    d, m = 7, 4
+
+    def run(sc):
+        cdfilter.cdckf.cdckf_time_update(
+            _initial_belief(sc), sc.sde_model(),
+            cdfilter.cdckf.CdckfVariant("paper-faithful", m), sc.interval)
+
+    calls, solve = _traced_calls(tmp_path, run)
+    assert calls["cdckf.time_update"] == 1
+    assert calls["cdckf.point_predict"] == calls["linalg.tria"] == m
+    assert calls["models.drift"] == 2 * 2 * d * m
+    assert calls["models.jacobian"] == 2 * d * m + 1
+    assert calls["models.hessians"] == 2 * d * m
+    assert solve["rhs_evals"] == calls["linalg.solve_transpose"] == 0

@@ -315,6 +315,14 @@ class TestBatchedTrials:
         with pytest.raises(ValueError, match="empty"):
             fn(RadarScenario(em_substeps=10), [])
 
+    @pytest.mark.parametrize("fn", [simulate_truth, make_trial])
+    @pytest.mark.parametrize("seed, shown", [(None, "None"), ("12", "'12'"),
+                                             (b"7", "b'7'")])
+    def test_non_sequence_seed_rejected_by_name(self, fn, seed, shown):
+        # a string is one bad seed, not a sequence of one-character seeds
+        with pytest.raises(ValueError, match=f"seed .* got {shown}$"):
+            fn(RadarScenario(em_substeps=10), seed)
+
 
 def _transient_peak(scenario, seeds):
     """Peak minus retained traced memory of one ``simulate_truth`` call:
