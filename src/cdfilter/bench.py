@@ -182,13 +182,11 @@ def _filter_loop(advance, mm, traj, belief, threshold):
 
 
 def run_trial(config: BenchConfig, filter_id: str, m: int, omega_deg: float,
-              interval: float, trial_index: int, trial_data=None) -> TrialMetrics:
-    """One trial of one filter on one grid cell; ``trial_data`` is the
-    ``make_trial`` output, simulated from the trial's seed when omitted."""
+              interval: float, trial) -> TrialMetrics:
+    """One trial of one filter on one grid cell; ``trial`` is the
+    ``make_trial`` output ``(Trajectory, initial_belief)``."""
     scenario = config.scenario(omega_deg, interval)
-    if trial_data is None:
-        trial_data = make_trial(scenario, config.base_seed + trial_index)
-    traj, belief = trial_data
+    traj, belief = trial
     model, counter = _counting_model(scenario.sde_model())
     advance = make_advance(filter_id, model, m, config.variant,
                            config.abs_tol, config.rel_tol)
@@ -223,48 +221,34 @@ def rmse(metrics: list, quantity: str) -> float:
 
 
 def _trial_worker(args):
-    """One chunk of a grid cell: simulate the chunk's trials in one
-    ``make_trial`` call, then run every (filter, m) on each; one list of
-    metrics per trial."""
-    config, omega, interval, cells, trial_indices = args
-    scenario = config.scenario(omega, interval)
-    trials = make_trial(scenario, [config.base_seed + i for i in trial_indices])
-    return [
-        [run_trial(config, f, m, omega, interval, i, trial_data) for (f, m) in cells]
-        for i, trial_data in zip(trial_indices, trials)
-    ]
-
-
-def _chunks(trials: int, jobs: int) -> list:
-    """Contiguous, non-empty trial-index ranges: one per worker when
-    ``jobs > 1`` (at most one per trial), else a single one."""
-    n = min(jobs, trials) if jobs > 1 else 1
-    bounds = [trials * c // n for c in range(n + 1)]
-    return [range(bounds[c], bounds[c + 1]) for c in range(n)]
+    """Trial ``i`` of one grid cell: simulate it from seed
+    ``base_seed + i``, then run every (filter, m) on it; one metrics entry
+    per (filter, m)."""
+    config, omega, interval, cells, i = args
+    trial = make_trial(config.scenario(omega, interval), config.base_seed + i)
+    return [run_trial(config, f, m, omega, interval, trial) for (f, m) in cells]
 
 
 def run_grid(config: BenchConfig, jobs: int = 1) -> list:
     """Sweep (filter, omega, interval, m), ``trials`` Monte-Carlo runs per
     cell; trajectories are shared across filters within a cell/trial.
-    Each cell's trials are split into contiguous chunks (one per worker,
-    and one pool per cell, when ``jobs > 1``); a chunk simulates its
-    trials in one ``make_trial`` call.  Returns one row dict per (filter, omega,
-    interval, m) cell."""
+    One task is one trial (``_trial_worker``).  With ``jobs > 1`` each cell
+    maps its trials over one process pool of ``min(jobs, trials)``
+    workers; otherwise they run in order in this process.  Returns one row
+    dict per (filter, omega, interval, m) cell."""
     check_count("jobs", jobs, 1)
     cells = [(f, m) for f in config.filters for m in config.m_values]
     rows = []
     for omega in config.omega_deg:
         for interval in config.intervals:
-            args = [(config, omega, interval, cells, chunk)
-                    for chunk in _chunks(config.trials, jobs)]
+            args = [(config, omega, interval, cells, i) for i in range(config.trials)]
             if jobs > 1:
-                with ProcessPoolExecutor(max_workers=len(args)) as pool:
-                    per_chunk = list(pool.map(_trial_worker, args))
+                with ProcessPoolExecutor(max_workers=min(jobs, config.trials)) as pool:
+                    per_trial = list(pool.map(_trial_worker, args))
             else:
-                per_chunk = [_trial_worker(a) for a in args]
-            per_trial = [t for chunk in per_chunk for t in chunk]
+                per_trial = [_trial_worker(a) for a in args]
             for c, (f, m) in enumerate(cells):
-                metrics = [per_trial[i][c] for i in range(config.trials)]
+                metrics = [trial[c] for trial in per_trial]
                 rows.append(_aggregate(config, f, m, omega, interval, metrics))
     return rows
 

@@ -14,6 +14,7 @@ the drift Hessians) from the model's analytic derivatives, and raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,8 @@ def cdckf_time_update(belief: GaussianBelief, model: SdeModel,
     mean, and triangularize [centered points | noise blocks] for the new
     factor.
     """
+    if not math.isfinite(t1):
+        raise ValueError(f"t1 must be finite, got {t1}")
     if t1 < belief.time:
         raise ValueError("t1 must be >= belief.time")
     if t1 == belief.time:

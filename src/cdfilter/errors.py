@@ -40,8 +40,9 @@ class MissingDerivatives(CdFilterError):
 
 
 class DegenerateInnovationCovariance(CdFilterError):
-    """The innovation covariance factor has a zero diagonal entry; the gain
-    solve is ill-posed."""
+    """An innovation covariance factor's diagonal entry is at most 1e-14
+    times the norm of its row, i.e. of that component's total spread plus
+    noise: what the gain solve would divide by is rounding noise."""
 
 
 class NonFiniteBelief(CdFilterError):

@@ -63,7 +63,10 @@ def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarr
     Returns ``(posterior_belief, UpdateDiagnostics)``; a non-finite entry
     in ``y`` is a ``ValueError``.  A non-finite prior mean or factor, or
     one so large that a cubature point's predicted measurement overflows,
-    raises ``NonFiniteBelief``.
+    raises ``NonFiniteBelief``.  An innovation factor with a diagonal
+    entry at most 1e-14 times its row's norm raises
+    ``DegenerateInnovationCovariance``: the row norm is the component's
+    total spread plus noise, so the test does not depend on units.
 
     A flagged (angle) component whose cubature predictions span more than
     pi is moved onto the branch of the first point's prediction before
@@ -107,9 +110,13 @@ def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarr
     T11 = T[:nz, :nz]
     T21 = T[nz:, :nz]
     T22 = T[nz:, nz:]
-    if (T11.diagonal() == 0.0).any():
+    # a diagonal entry at rounding noise against its row norm, sqrt(Pyy[i, i]),
+    # would blow up the gain; hypot keeps the norm from under- or overflowing
+    tiny = T11.diagonal() <= 1e-14 * np.hypot.reduce(T11, axis=1)
+    if tiny.any():
         raise DegenerateInnovationCovariance(
-            "innovation factor has a zero diagonal entry")
+            f"innovation factor diagonal {np.flatnonzero(tiny).tolist()} is at "
+            "most 1e-14 times its row norm")
     # gain solves W @ T11 = T21 with T11 lower triangular
     gain = solve_lower_right(T11, T21)
     innovation = wrap_angles(y - y_pred, mm.residual_wrap)

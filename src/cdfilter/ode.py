@@ -37,6 +37,8 @@ class OdeProblem:
     y0: np.ndarray
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValueError(f"t0 and t1 must be finite, got t0={self.t0}, t1={self.t1}")
         if self.t1 < self.t0:
             raise ValueError("t1 must be >= t0")
         y0 = np.asarray(self.y0, dtype=float)

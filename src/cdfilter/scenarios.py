@@ -9,8 +9,6 @@ nothing downstream ever sees degrees.
 from __future__ import annotations
 
 import math
-import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import count
 
@@ -152,19 +150,6 @@ class Trajectory:
     measurements: np.ndarray   # noisy radar readings, shape (n, 3)
 
 
-def _seed_list(rng_seed) -> list:
-    """The seeds of one seed or of a sequence of seeds, each an integer
-    >= 0.  A string or any other non-sequence is one (bad) seed, so the
-    ``ValueError`` names it whole."""
-    one = isinstance(rng_seed, (str, bytes)) or not isinstance(rng_seed, Iterable)
-    seeds = [rng_seed] if one else list(rng_seed)
-    if not seeds:
-        raise ValueError("rng_seed is an empty sequence; give at least one seed")
-    for seed in seeds:
-        check_count("seed", seed, 0)
-    return seeds
-
-
 def _running_sum(x0, a, b) -> np.ndarray:
     """Every value of ``x_{j+1} = (x_j + a_j) + b_j``, ``x_0`` to ``x_n``,
     added in exactly that order; ``a`` is a scalar or has ``b``'s length n.
@@ -197,83 +182,73 @@ def _turn_recursion(x1, x3, w, e1, e3, h, out1, out3):
         o1[j], o3[j] = x1, x3
 
 
-def simulate_truth(scenario: RadarScenario, rng_seed):
+def simulate_truth(scenario: RadarScenario, rng_seed: int) -> Trajectory:
     """Deterministic truth + measurement simulation, Euler-Maruyama with
     ``em_substeps`` steps per measurement interval.
 
-    ``rng_seed`` is one seed, which returns one ``Trajectory``, or a
-    sequence of seeds, which returns one ``Trajectory`` per seed; a seed
-    is an integer >= 0.  Trial i draws only from ``default_rng(seeds[i])``,
-    in this order: per interval one (em_substeps, 7) block of process
-    noise, then three measurement-noise normals.  Each trajectory is
-    bitwise equal to the plain loop ``x <- (x + h f(x)) + dW`` over
-    substeps for that seed.
+    ``rng_seed`` is one seed, an integer >= 0.  The trial draws only from
+    ``default_rng(rng_seed)``, in this order: per interval one
+    (em_substeps, 7) block of process noise, then three measurement-noise
+    normals.  The trajectory is bitwise equal to the plain loop
+    ``x <- (x + h f(x)) + dW`` over substeps for that seed.
 
-    The trials are simulated one after another, each by the same one-trial
-    kernel, which runs the loop one state component at a time over a
-    whole interval.  The drift is ``[x1, -x6 x3, x3, x6 x1, x5, 0, 0]``,
-    so rows 5 and 6 are random walks, ``x <- (x + 0 h) + dW`` (the ``0 h``
-    keeps the sign a zero gets in the loop), and each position row 0, 2,
-    4 is ``x <- (x + h v) + dW`` over the history of its velocity row 1,
-    3, 5.  These are running sums (``_running_sum``), taken in the order
-    row 6, then rows 1 and 3, then rows 5, 4, 0 and 2.  Rows 1 and 3 are
-    the one nonlinear pair, stepped in Python floats (``_turn_recursion``)
-    over the turn-rate history.  Time and memory are per trial: N seeds
-    cost N one-trial runs (the recursion alone about 0.15 us per
-    substep), and the working buffers are one trial's whatever N is
-    (about 0.16 MB at 1000 substeps).
+    The loop runs one state component at a time over a whole interval.
+    The drift is ``[x1, -x6 x3, x3, x6 x1, x5, 0, 0]``, so rows 5 and 6 are
+    random walks, ``x <- (x + 0 h) + dW`` (the ``0 h`` keeps the sign a
+    zero gets in the loop), and each position row 0, 2, 4 is
+    ``x <- (x + h v) + dW`` over the history of its velocity row 1, 3, 5.
+    These are running sums (``_running_sum``), taken in the order row 6,
+    then rows 1 and 3, then rows 5, 4, 0 and 2.  Rows 1 and 3 are the one
+    nonlinear pair, stepped in Python floats (``_turn_recursion``) over
+    the turn-rate history, about 0.15 us per substep.  The working buffers
+    take about 0.16 MB at 1000 substeps.
     """
+    check_count("seed", rng_seed, 0)
     mm = scenario.measurement_model()
     sk = np.diag(scenario.sde_model().diffusion_factor)
     times = scenario.measurement_times()
     n_sub = scenario.em_substeps
     h = scenario.interval / n_sub
     sqrt_h = math.sqrt(h)
-
-    def one_trial(seed):
-        rng = np.random.default_rng(seed)
-        x = scenario.initial_state()
-        states = np.empty((len(times), 7))
-        meas = np.empty((len(times), 3))
-        noise = np.empty((n_sub, 7))
-        dw = noise.T                        # component, substep
-        vel = np.empty((2, n_sub + 1))      # rows 1, 3 at each substep
-        for k in range(len(times)):
-            rng.standard_normal(out=noise)
-            noise *= sk                     # dW = sqrt(h) * (sqrt(K) * noise)
-            noise *= sqrt_h
-            w = _running_sum(x[6], 0.0 * h, dw[6])  # turn rate at each substep
-            _turn_recursion(x[1], x[3], w[:-1], dw[1], dw[3], h, vel[0], vel[1])
-            x5 = _running_sum(x[5], 0.0 * h, dw[5])
-            x[4] = _running_sum(x[4], x5[:-1] * h, dw[4])[-1]
-            x[0] = _running_sum(x[0], vel[0, :-1] * h, dw[0])[-1]
-            x[2] = _running_sum(x[2], vel[1, :-1] * h, dw[2])[-1]
-            x[1], x[3], x[5], x[6] = vel[0, -1], vel[1, -1], x5[-1], w[-1]
-            states[k] = x
-            meas[k] = mm.h(x) + mm.noise_factor @ rng.standard_normal(3)
-        return Trajectory(times=times, truth_states=states, measurements=meas)
-
-    trajectories = [one_trial(seed) for seed in _seed_list(rng_seed)]
-    return trajectories[0] if isinstance(rng_seed, numbers.Integral) else trajectories
+    rng = np.random.default_rng(rng_seed)
+    x = scenario.initial_state()
+    states = np.empty((len(times), 7))
+    meas = np.empty((len(times), 3))
+    noise = np.empty((n_sub, 7))
+    dw = noise.T                        # component, substep
+    vel = np.empty((2, n_sub + 1))      # rows 1, 3 at each substep
+    for k in range(len(times)):
+        rng.standard_normal(out=noise)
+        noise *= sk                     # dW = sqrt(h) * (sqrt(K) * noise)
+        noise *= sqrt_h
+        w = _running_sum(x[6], 0.0 * h, dw[6])  # turn rate at each substep
+        _turn_recursion(x[1], x[3], w[:-1], dw[1], dw[3], h, vel[0], vel[1])
+        x5 = _running_sum(x[5], 0.0 * h, dw[5])
+        x[4] = _running_sum(x[4], x5[:-1] * h, dw[4])[-1]
+        x[0] = _running_sum(x[0], vel[0, :-1] * h, dw[0])[-1]
+        x[2] = _running_sum(x[2], vel[1, :-1] * h, dw[2])[-1]
+        x[1], x[3], x[5], x[6] = vel[0, -1], vel[1, -1], x5[-1], w[-1]
+        states[k] = x
+        meas[k] = mm.h(x) + mm.noise_factor @ rng.standard_normal(3)
+    return Trajectory(times=times, truth_states=states, measurements=meas)
 
 
-def make_trial(scenario: RadarScenario, rng_seed):
-    """Simulate trials and build the filter's initial belief.
+def make_trial(scenario: RadarScenario, rng_seed: int):
+    """Simulate one trial and build the filter's initial belief.
 
     Truth and filter both start at the scenario's initial state; Sigma0
     expresses the guess uncertainty the filter is told to assume.  (A
     sampled initial guess makes the very first time-update propagate a
     large turn-rate error through the strongly nonlinear dynamics and
     dominates every aggregate with that transient.)
-    Returns ``(Trajectory, initial_belief)`` for one seed, and a list of
-    them, one per seed, for a sequence of seeds (see ``simulate_truth``).
+    Returns ``(Trajectory, initial_belief)`` for the one seed ``rng_seed``
+    (see ``simulate_truth``).
     """
-    trajectories = simulate_truth(scenario, _seed_list(rng_seed))
-    factor0 = cholesky_lower(scenario.initial_covariance())
-    trials = [(traj, GaussianBelief(mean=scenario.initial_state(),
-                                    factor=factor0.copy(), time=0.0))
-              for traj in trajectories]
-    return trials[0] if isinstance(rng_seed, numbers.Integral) else trials
+    traj = simulate_truth(scenario, rng_seed)
+    belief = GaussianBelief(mean=scenario.initial_state(),
+                            factor=cholesky_lower(scenario.initial_covariance()),
+                            time=0.0)
+    return traj, belief
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,7 +161,7 @@ class TestRejectedBeforeWork:
             with pytest.raises(ValueError, match="integer"):
                 count_drift_evals("averaged", d)
         sc = RadarScenario(em_substeps=10)
-        for seed in (1.5, True, -1, np.nan, [1, 1.5], (7, True)):
+        for seed in (1.5, True, -1, np.nan, [7], (7, 8)):
             for fn in (simulate_truth, make_trial):
                 with pytest.raises(ValueError, match="seed"):
                     fn(sc, seed)
@@ -168,7 +171,7 @@ class TestRejectedBeforeWork:
         SolverSpec("adaptive-embedded", max_steps=np.int64(5))
         assert count_drift_evals("averaged", np.int64(3)) == 6
         check_appendix_a(np.int64(4), np.int64(1), 0.5, 1.0, 1.0)
-        assert len(make_trial(sc, [np.int64(7), 8])) == 2
+        make_trial(sc, np.int64(7))
 
     def test_unknown_id_message_lists_the_ids(self):
         with pytest.raises(ValueError, match="cdckf-proper"):
@@ -204,19 +207,24 @@ class TestRmse:
         assert a == b
 
 
+def _trial(cfg, i):
+    """Trial ``i`` of ``cfg``'s one cell, as ``_trial_worker`` simulates it."""
+    return make_trial(cfg.scenario(6.0, 6.0), cfg.base_seed + i)
+
+
 class TestRunTrial:
     def test_deterministic(self):
         cfg = BenchConfig(trials=1, **_FAST)
-        a = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
-        b = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
+        a = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
+        b = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
         np.testing.assert_array_equal(a.sq_pos, b.sq_pos)
         assert a.divergent == b.divergent
-        c = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 1)
+        c = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 1))
         assert not np.array_equal(a.sq_pos, c.sq_pos)
 
     def test_reports_drift_eval_count(self):
         cfg = BenchConfig(trials=1, **_FAST)
-        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
+        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
         # 20 intervals x 2 substeps x 14 cubature points x 2 drift calls
         assert t.drift_evals == 20 * 2 * 14 * 2
 
@@ -227,7 +235,8 @@ class TestRunTrial:
             return lambda b, t1: GaussianBelief(np.full(7, np.nan), b.factor, t1)
 
         monkeypatch.setattr(bench, "make_advance", nan_advance)
-        t = run_trial(BenchConfig(trials=1, **_FAST), "cdckf", 2, 6.0, 6.0, 0)
+        cfg = BenchConfig(trials=1, **_FAST)
+        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
         assert t.divergent
 
     def test_noise_free_straight_line_tracks_exactly(self):
@@ -255,46 +264,78 @@ class TestRunGrid:
         rows = run_grid(cfg)
         assert len(rows) == 1
         row = rows[0]
-        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, 0)
+        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
         np.testing.assert_allclose(row["rmse_pos_m"],
                                    np.sqrt(t.sq_pos.mean()), rtol=1e-12)
         assert row["divergent"] == int(t.divergent)
 
     def test_parallel_equals_serial(self):
-        # every field but the timing is equal, bit for bit; one trial on
-        # two jobs makes one chunk
-        for trials in (3, 1):
+        # every field but the timing is equal, bit for bit, whether the
+        # workers are fewer than, as many as or more than the trials
+        for trials, jobs in ((3, 2), (1, 2), (4, 3), (7, 3)):
             cfg = BenchConfig(trials=trials, **_FAST)
             serial = run_grid(cfg, jobs=1)
-            parallel = run_grid(cfg, jobs=2)
+            parallel = run_grid(cfg, jobs=jobs)
             assert len(serial) == len(parallel) == 1
             for a, b in zip(serial, parallel):
                 assert a.keys() == b.keys()
                 for key in a.keys() - {"wall_ms_per_trial"}:
-                    assert a[key] == b[key], (trials, key)
+                    assert a[key] == b[key], (trials, jobs, key)
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 4, 7, 25, 100])
     @pytest.mark.parametrize("jobs", [-1, 0, 1, 2, 3, 8])
-    def test_chunks_are_contiguous_and_never_empty(self, trials, jobs):
-        chunks = bench._chunks(trials, jobs)
-        assert len(chunks) == (min(jobs, trials) if jobs > 1 else 1)
-        assert all(len(c) > 0 for c in chunks)
-        assert [i for c in chunks for i in c] == list(range(trials))
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
+    def test_chunks_are_contiguous_and_never_empty(self, monkeypatch, trials, jobs):
+        # each task is one trial: the tasks cover the trial indices once, in
+        # order, on a pool of min(jobs, trials) workers (none when jobs == 1);
+        # jobs < 1 is rejected before any task
+        tasks, pools = [], []
+
+        class Pool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        def worker(args):
+            config, omega, interval, cells, i = args
+            tasks.append(i)
+            return [i] * len(cells)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(bench, "_trial_worker", worker)
+        monkeypatch.setattr(bench, "_aggregate",
+                            lambda config, f, m, omega, interval, metrics: metrics)
+        cfg = BenchConfig(trials=trials, **_FAST)
+        if jobs < 1:
+            with pytest.raises(ValueError, match="jobs"):
+                run_grid(cfg, jobs=jobs)
+            assert tasks == [] and pools == []
+            return
+        rows = run_grid(cfg, jobs=jobs)
+        assert tasks == list(range(trials))
+        assert rows == [list(range(trials))]
+        assert pools == ([min(jobs, trials)] if jobs > 1 else [])
 
     def test_grid_builds_no_empty_chunk(self, monkeypatch):
+        # one worker call per trial index, in order
         seen = []
         worker = bench._trial_worker
 
         def record(args):
-            seen.append(list(args[4]))
+            seen.append(args[4])
             return worker(args)
 
         monkeypatch.setattr(bench, "_trial_worker", record)
         run_grid(BenchConfig(trials=1, **_FAST), jobs=1)
         run_grid(BenchConfig(trials=3, **_FAST), jobs=1)
-        assert seen == [[0], [0, 1, 2]]
+        assert seen == [0, 0, 1, 2]
 
     def test_metadata_records_conventions(self):
         md = BenchConfig(trials=1, **_FAST).metadata()
@@ -362,6 +403,21 @@ class TestMakeAdvance:
             BenchConfig(filters=("ekf",))
         with pytest.raises(ValueError):
             convergence_study("linear-fp", ["ekf"], [8])
+
+    @pytest.mark.parametrize("filter_id", FILTER_IDS)
+    @pytest.mark.parametrize("t1", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t1_rejected_before_work(self, monkeypatch, filter_id, t1):
+        # a small step budget, so that an unchecked infinite t1 fails fast
+        monkeypatch.setattr(bench, "SolverSpec",
+                            functools.partial(SolverSpec, max_steps=50))
+
+        def drift(x, t=0.0):
+            raise AssertionError("drift evaluated before t1 was checked")
+
+        model = replace(oscillator_scenario().sde_model(), drift=drift)
+        belief = GaussianBelief(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="t1"):
+            make_advance(filter_id, model, 2)(belief, t1)
 
     def test_nonpositive_m_rejected(self):
         model = oscillator_scenario().sde_model()

@@ -155,6 +155,22 @@ class TestMeasurementUpdate:
         with pytest.raises(DegenerateInnovationCovariance):
             measurement_update(belief, mm, np.array([1.0]))
 
+    def test_innovation_diagonal_at_rounding_noise_raises(self):
+        # the second component adds 1e-30 x1 to the first, and R is ~0, so
+        # T11[1, 1] is rounding noise (about 1e-16) against a row norm of
+        # sqrt(2); the gain would divide by it
+        mm = MeasurementModel(meas_dim=2,
+                              h=lambda x: np.array([x[0], x[0] + 1e-30 * x[1]]),
+                              noise_factor=np.diag([1e-200, 1e-200]))
+        belief = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(DegenerateInnovationCovariance, match=r"\[1\]"):
+            measurement_update(belief, mm, np.array([1.0, 1.0]))
+        # the same test passes at any scale: the threshold is relative
+        for scale in (1e-150, 1.0, 1e150):
+            mm = MeasurementModel(meas_dim=2, h=lambda x: scale * x,
+                                  noise_factor=scale * np.eye(2))
+            measurement_update(belief, mm, np.zeros(2))
+
     @given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 1))
     def test_non_finite_measurement_rejected(self, bad, index):
         def h(x):

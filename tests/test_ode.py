@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cdfilter import (
+    LinearSystem,
     MaxStepsExceeded,
     OdeProblem,
     RadarScenario,
@@ -12,6 +13,7 @@ from cdfilter import (
     cholesky_lower,
     integrate,
     lskf_rhs,
+    lyapunov_oracle,
     order_of_accuracy,
     pack_state,
     unpack_state,
@@ -144,6 +146,16 @@ class TestFixedSteppers:
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
             OdeProblem(dim=1, rhs=lambda t, y: y, t0=1.0, t1=0.0, y0=np.array([1.0]))
+
+    @pytest.mark.parametrize("t1", [np.nan, np.inf, -np.inf])
+    def test_non_finite_end_rejected(self, t1):
+        # an infinite span would step until max_steps; a NaN one would
+        # return y0 stamped with a NaN time
+        with pytest.raises(ValueError, match="t1"):
+            OdeProblem(dim=1, rhs=lambda t, y: y, t0=0.0, t1=t1, y0=np.array([1.0]))
+        sys = LinearSystem(J=np.zeros((1, 1)), K=np.eye(1))
+        with pytest.raises(ValueError, match="t1"):
+            lyapunov_oracle(sys, np.zeros(1), np.eye(1), t1)
 
 
 class TestAdaptive:

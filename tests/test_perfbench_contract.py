@@ -72,12 +72,11 @@ def test_tracer_sees_the_cubature_layers(tmp_path):
         assert calls[name] > 0, name
 
 
-def test_tracer_counts_one_batched_chunk(tmp_path):
+def test_tracer_counts_one_task_per_trial(tmp_path):
     # `mc-grid` requires `scenarios.make_trial` and `bench.worker` to record
-    # calls.  A serial cell is one chunk: one worker task and one batched
-    # `make_trial`.  `models.h` runs once per measurement in the truth
-    # simulation and once per cubature point in each measurement update,
-    # as it did when every trial was simulated alone.
+    # calls.  Each trial is one worker task and one one-seed `make_trial`.
+    # `models.h` runs once per measurement in the truth simulation and once
+    # per cubature point in each measurement update.
     layertrace = _layertrace()
     tracer = layertrace.Tracer(tmp_path / "spans")
     tracer.install()
@@ -91,8 +90,8 @@ def test_tracer_counts_one_batched_chunk(tmp_path):
         tracer.uninstall()
     n_meas, d = 20, 7
     assert rows[0]["divergent"] == 0
-    assert calls["scenarios.make_trial"] == 1
-    assert calls["bench.worker"] == 1
+    assert calls["scenarios.make_trial"] == 3
+    assert calls["bench.worker"] == 3
     assert calls["models.h"] == 3 * n_meas * (1 + 2 * d)
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,9 +197,7 @@ def _assert_same_trajectory(traj, reference):
     assert traj.measurements.tobytes() == meas.tobytes()
 
 
-def _simulate(scenario, seeds, batched):
-    if batched:
-        return simulate_truth(scenario, seeds)
+def _simulate(scenario, seeds):
     return [simulate_truth(scenario, s) for s in seeds]
 
 
@@ -218,48 +215,30 @@ def acceptance_5_cell(request):
 
 
 class TestBatchedTruthEqualsPerTrialLoop:
-    """Every trajectory of ``simulate_truth`` equals the per-trial loop,
-    whatever the batch it was simulated in."""
+    """Every trajectory of ``simulate_truth``, which steps each state
+    component over a whole interval at once, equals the per-trial loop."""
 
     def test_cell_one_seed_at_a_time(self, acceptance_5_cell):
         sc, reference = acceptance_5_cell
-        for traj, ref in zip(_simulate(sc, _SEEDS, False), reference):
+        for traj, ref in zip(_simulate(sc, _SEEDS), reference):
             _assert_same_trajectory(traj, ref)
 
-    def test_cell_all_seeds_in_one_batch(self, acceptance_5_cell):
-        sc, reference = acceptance_5_cell
-        batch = _simulate(sc, _SEEDS, True)
-        assert len(batch) == len(_SEEDS)
-        for traj, ref in zip(batch, reference):
-            _assert_same_trajectory(traj, ref)
-
-    @pytest.mark.parametrize("chunk", [2, 4])
-    def test_cell_in_grid_chunks(self, acceptance_5_cell, chunk):
-        # run_grid's chunk sizes: mc-grid's two workers get 2 trials each
-        sc, reference = acceptance_5_cell
-        batch = [traj for c in range(0, len(_SEEDS), chunk)
-                 for traj in _simulate(sc, _SEEDS[c:c + chunk], True)]
-        assert len(batch) == len(_SEEDS)
-        for traj, ref in zip(batch, reference):
-            _assert_same_trajectory(traj, ref)
-
-    @pytest.mark.parametrize("batched", [False, True], ids=["N1", "batch"])
+    # "N1": one seed per simulate_truth call
+    @pytest.mark.parametrize("seeds", [_SEEDS[:5]], ids=["N1"])
     @pytest.mark.parametrize("substeps", [500, 2000])
-    def test_other_substep_counts(self, substeps, batched):
+    def test_other_substep_counts(self, substeps, seeds):
         sc = RadarScenario(omega0_deg=12.0, interval=4.0, em_substeps=substeps)
-        seeds = _SEEDS[:5]
-        for traj, seed in zip(_simulate(sc, seeds, batched), seeds):
+        for traj, seed in zip(_simulate(sc, seeds), seeds):
             _assert_same_trajectory(traj, _per_trial_truth(sc, seed))
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["N1", "batch"])
-    def test_noise_free_straight_line(self, batched):
+    @pytest.mark.parametrize("seeds", [[0, 1, 2]], ids=["N1"])
+    def test_noise_free_straight_line(self, seeds):
         # the scenario of test_noise_free_straight_line_tracks_exactly,
         # where every noise term is an exact zero
         sc = RadarScenario(omega0_deg=0.0, sigma1=0.0, sigma2=0.0,
                            sigma_r=0.0, sigma_angle_deg=0.0, horizon=60.0,
                            em_substeps=10)
-        seeds = [0, 1, 2]
-        for traj, seed in zip(_simulate(sc, seeds, batched), seeds):
+        for traj, seed in zip(_simulate(sc, seeds), seeds):
             _assert_same_trajectory(traj, _per_trial_truth(sc, seed))
 
 
@@ -291,19 +270,6 @@ class TestRunningSum:
 
 
 class TestBatchedTrials:
-    def test_sequence_gives_one_trial_per_seed(self):
-        sc = RadarScenario(em_substeps=10)
-        trials = make_trial(sc, (7, 8))
-        assert isinstance(trials, list) and len(trials) == 2
-        for seed, (traj, belief) in zip((7, 8), trials):
-            one, belief_one = make_trial(sc, seed)
-            np.testing.assert_array_equal(traj.truth_states, one.truth_states)
-            np.testing.assert_array_equal(traj.measurements, one.measurements)
-            np.testing.assert_array_equal(belief.mean, belief_one.mean)
-            np.testing.assert_array_equal(belief.factor, belief_one.factor)
-        # the beliefs share no arrays
-        assert not np.shares_memory(trials[0][1].factor, trials[1][1].factor)
-
     def test_numpy_integer_seed_is_one_trial(self):
         sc = RadarScenario(em_substeps=10)
         traj, _ = make_trial(sc, np.int64(7))
@@ -311,42 +277,15 @@ class TestBatchedTrials:
                                       make_trial(sc, 7)[0].truth_states)
 
     @pytest.mark.parametrize("fn", [simulate_truth, make_trial])
-    def test_empty_seed_sequence_rejected(self, fn):
-        with pytest.raises(ValueError, match="empty"):
-            fn(RadarScenario(em_substeps=10), [])
-
-    @pytest.mark.parametrize("fn", [simulate_truth, make_trial])
     @pytest.mark.parametrize("seed, shown", [(None, "None"), ("12", "'12'"),
-                                             (b"7", "b'7'")])
+                                             (b"7", "b'7'"),
+                                             pytest.param([7], r"\[7\]", id="list"),
+                                             pytest.param((7, 8), r"\(7, 8\)",
+                                                          id="tuple")])
     def test_non_sequence_seed_rejected_by_name(self, fn, seed, shown):
-        # a string is one bad seed, not a sequence of one-character seeds
+        # a string or a sequence is one bad seed, named whole
         with pytest.raises(ValueError, match=f"seed .* got {shown}$"):
             fn(RadarScenario(em_substeps=10), seed)
-
-
-def _transient_peak(scenario, seeds):
-    """Peak minus retained traced memory of one ``simulate_truth`` call:
-    what its working buffers took."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        trajectories = simulate_truth(scenario, seeds)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        if started:
-            tracemalloc.stop()
-    assert len(trajectories) == len(seeds)
-    return peak - retained
-
-
-class TestTruthMemory:
-    def test_working_set_is_one_trials_whatever_the_batch(self):
-        sc = RadarScenario(omega0_deg=12.0, interval=6.0, em_substeps=1000)
-        one = _transient_peak(sc, _SEEDS[:1])
-        twenty = _transient_peak(sc, _SEEDS[:20])
-        assert twenty <= 1.5 * one
 
 
 class TestLinearScenarios:
