@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingDerivatives, check_count
-from .linalg import tria
+from .linalg import cubature_points, tria
 from .models import GaussianBelief, SdeModel
 
 VARIANT_MODES = ("paper-faithful", "proper-it15")
@@ -38,17 +38,9 @@ class CdckfVariant:
 
 
 class It15Operators:
-    """Drift-derivative operators entering the order-1.5 Ito-Taylor map.
-
-    With J the drift Jacobian and H the stacked Hessians, the map is
-
-        f_d(x) = x + dt * v + 0.5 * dt^2 * L0(v),
-        L0(v)_i = (J v)_i + 0.5 * sum_pq K[p,q] * H[i][p,q],
-
-    and the noise-coupling matrix is L(v) = J @ sqrt(K).  J and H come
-    from the model's analytic ``drift_jacobian`` and ``drift_hessians``;
-    the Hessians are needed only when K is nonzero.
-    """
+    """The model checked for the derivatives the order-1.5 map needs:
+    the analytic ``drift_jacobian`` always, and ``drift_hessians`` when
+    the process noise K is nonzero."""
 
     def __init__(self, model: SdeModel):
         self.model = model
@@ -57,43 +49,31 @@ class It15Operators:
         if model.drift_hessians is None and model.has_noise:
             raise MissingDerivatives("drift_hessians required when K is nonzero")
 
-    def l0(self, x, t):
-        """The scalar generator applied componentwise to the drift
-        (autonomous drift: no explicit time-derivative term).
 
-        ``x`` is one point (d,) or points as the rows of an (n, d) array.
-        The model is called once per point; ``J v`` is one stacked matmul
-        and the Hessian term one einsum over all points.
-        """
-        pts = x if x.ndim == 2 else x[np.newaxis, :]
-        model = self.model
-        v = np.array([model.drift(p, t) for p in pts])
-        jac = np.array([model.drift_jacobian(p, t) for p in pts])
-        out = np.matmul(jac, v[:, :, np.newaxis])[:, :, 0]
-        if model.has_noise:
-            hess = np.array([model.drift_hessians(p, t) for p in pts])
-            out = out + 0.5 * np.einsum("pq,nipq->ni", model.noise_cov(), hess)
-        return out if x.ndim == 2 else out[0]
+def it15_point_predict(pts: np.ndarray, t: float, dt: float, ops: It15Operators):
+    """Push the rows of ``pts`` (n, d) through the order-1.5 Taylor map
 
-    def lv(self, x, t):
-        """Noise-coupling matrix with entries sum_k sqrtK[k,j] dv_i/dx_k."""
-        return self.model.drift_jacobian(x, t) @ self.model.diffusion_factor
+        f_d(x) = x + dt * v + 0.5 * dt^2 * L0(v),
+        L0(v)_i = (J v)_i + 0.5 * sum_pq K[p,q] * H[i][p,q],
 
-
-def it15_point_predict(x: np.ndarray, t: float, dt: float, ops: It15Operators):
-    """Propagate points through the order-1.5 Taylor map.
-
-    ``x`` is one point (d,) or points as the rows of an (n, d) array; the
-    result has the same shape.
+    with v the drift, J its Jacobian and H its stacked Hessians (the
+    scalar generator applied componentwise to an autonomous drift).  The
+    model is called once per point; ``J v`` is one stacked matmul and the
+    Hessian term one einsum over all points.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # l0 evaluates the drift once more itself: two drift calls per point,
-    # the count radar.csv's rhs_evals_mean and perfbench's mc-grid pin
-    pts = x if x.ndim == 2 else x[np.newaxis, :]
-    v = np.array([ops.model.drift(p, t) for p in pts])
-    out = pts + dt * v + 0.5 * dt * dt * ops.l0(pts, t)
-    return out if x.ndim == 2 else out[0]
+    model = ops.model
+    v = np.array([model.drift(p, t) for p in pts])
+    # a second drift call per point, whose value is v again: radar.csv's
+    # rhs_evals_mean and perfbench's mc-grid reference pin this count
+    v_l0 = np.array([model.drift(p, t) for p in pts])
+    jac = np.array([model.drift_jacobian(p, t) for p in pts])
+    l0 = np.matmul(jac, v_l0[:, :, np.newaxis])[:, :, 0]
+    if model.has_noise:
+        hess = np.array([model.drift_hessians(p, t) for p in pts])
+        l0 = l0 + 0.5 * np.einsum("pq,nipq->ni", model.noise_cov(), hess)
+    return pts + dt * v + 0.5 * dt * dt * l0
 
 
 def cdckf_time_update(belief: GaussianBelief, model: SdeModel,
@@ -119,26 +99,22 @@ def cdckf_time_update(belief: GaussianBelief, model: SdeModel,
     total = t1 - belief.time
     dt = total / m
     n_pts = 2 * d
-    sqrt_d = np.sqrt(d)
     w = 1.0 / np.sqrt(n_pts)
     sqrt_k = model.diffusion_factor
     # noise blocks: every substep (proper-it15) or once per interval
     proper = variant.mode == "proper-it15"
     tau = dt if proper else total
 
-    x = belief.mean.copy()
-    M = belief.factor.copy()
-    t = belief.time
+    x, M, t = belief.mean, belief.factor, belief.time
     for s in range(m):
-        spread = sqrt_d * M.T
-        pts = np.concatenate([x + spread, x - spread])
+        pts, _ = cubature_points(x, M)
         # points as columns again, so the mean sums along contiguous memory
         # in the same order as the per-point loop did
         prop = np.ascontiguousarray(it15_point_predict(pts, t, dt, ops).T)
         x_new = prop.sum(axis=1) / n_pts
         blocks = w * (prop - x_new[:, np.newaxis])
         if proper or s == 0:
-            L = ops.lv(x_new, t)
+            L = model.drift_jacobian(x_new, t) @ sqrt_k
             blocks = np.concatenate([blocks,
                                      np.sqrt(tau) * (sqrt_k + 0.5 * tau * L),
                                      np.sqrt(tau**3 / 12.0) * L], axis=1)

@@ -75,6 +75,18 @@ def tria(a: np.ndarray) -> np.ndarray:
     return L
 
 
+def cubature_points(mean: np.ndarray, factor: np.ndarray):
+    """Third-degree spherical-radial cubature points of N(mean, M M^T).
+
+    Returns ``(points, offsets)``, both (2d, d) with one point per row:
+    ``offsets`` holds sqrt(d) times each column of M, then the negated
+    rows, and ``points = mean + offsets``.  Every point has weight 1/(2d).
+    """
+    spread = np.sqrt(mean.shape[0]) * factor.T
+    offsets = np.concatenate([spread, -spread])
+    return mean + offsets, offsets
+
+
 def solve_transpose(m: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Solve ``X @ M.T = K`` for X, i.e. return ``K @ inv(M.T)``.
 

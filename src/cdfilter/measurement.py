@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInnovationCovariance, NonFiniteBelief
-from .linalg import solve_lower_right, tria
+from .linalg import cubature_points, solve_lower_right, tria
 from .models import GaussianBelief, MeasurementModel
 
 
@@ -84,8 +84,7 @@ def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarr
     if not (np.isfinite(mean).all() and np.isfinite(M).all()):
         raise NonFiniteBelief("prior mean or factor has a non-finite entry")
 
-    spread = np.sqrt(d) * np.concatenate([M, -M], axis=1)
-    pts = mean[:, None] + spread
+    pts, offsets = cubature_points(mean, M)
     w = 1.0 / np.sqrt(n_pts)
     # [[yc, R], [xc, 0]] with yc, xc the weighted measurement and state
     # deviations; an overflow shows as a non-finite entry, not a warning
@@ -93,7 +92,7 @@ def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         # one point per row in Fortran order: Y is (nz, 2d) and C-ordered,
         # so each component's mean sums along contiguous memory
-        Y = np.array([mm.h(p) for p in pts.T], order="F").T
+        Y = np.array([mm.h(p) for p in pts], order="F").T
         cut = _straddling_rows(Y, mm.residual_wrap)
         if cut.size:
             ref = Y[cut, :1]
@@ -103,7 +102,7 @@ def measurement_update(belief: GaussianBelief, mm: MeasurementModel, y: np.ndarr
     if cut.size:
         y_pred[cut] = _wrap(y_pred[cut])
     stacked[:nz, n_pts:] = mm.noise_factor
-    stacked[nz:, :n_pts] = w * spread
+    stacked[nz:, :n_pts] = w * offsets.T
     if not np.isfinite(stacked).all():
         raise NonFiniteBelief("prior spread gives a non-finite predicted measurement")
     T = tria(stacked)

@@ -7,6 +7,7 @@ covariance positive semi-definite under finite precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,6 +40,8 @@ class GaussianBelief:
             raise ValueError("mean must be a vector with d >= 1")
         if factor.shape != (d, d):
             raise ValueError("factor must be d x d with d = len(mean)")
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time}")
 
     @property
     def dim(self) -> int:

@@ -102,12 +102,18 @@ class RadarScenario:
     em_substeps: int = 1000         # truth-simulation substeps per interval
 
     def __post_init__(self):
-        if not 0 < self.interval <= self.horizon:
+        if not 0 < self.interval <= self.horizon < math.inf:
             raise ValueError(f"interval {self.interval:g} s is outside "
-                             f"(0, {self.horizon:g}] (the horizon)")
+                             f"(0, {self.horizon:g}] (the horizon, which must "
+                             "be finite)")
         check_count("em_substeps", self.em_substeps, 1)
-        if not (math.isfinite(self.omega0_deg) and 0 <= self.sigma2 < math.inf):
-            raise ValueError("omega0_deg must be finite, and sigma2 finite and >= 0")
+        noise = ("sigma1", "sigma2", "sigma_r", "sigma_angle_deg")
+        bad = [n for n in noise if not 0 <= getattr(self, n) < math.inf]
+        if not math.isfinite(self.omega0_deg):
+            bad.append("omega0_deg")
+        if bad:
+            raise ValueError(f"bad {', '.join(bad)}: omega0_deg must be finite, "
+                             "and the noise levels finite and >= 0")
 
     @property
     def omega0(self) -> float:
@@ -311,8 +317,9 @@ class TransportScenario:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"a and b must be positive, got a={self.a}, b={self.b}")
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
+            raise ValueError(f"a and b must be finite and positive, got a={self.a}, "
+                             f"b={self.b}")
 
     def sde_model(self) -> SdeModel:
         def hess(x, t=0.0):

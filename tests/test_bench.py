@@ -130,6 +130,17 @@ class TestRejectedBeforeWork:
         with pytest.raises(ValueError):
             run_appendix_a(factorizations, 1, 0.5, 1.0, t_end)
 
+    @pytest.mark.parametrize("a, b", [
+        (np.inf, 1.0), (0.5, np.inf), (np.nan, 1.0), (0.5, np.nan),
+        (0.0, 1.0), (0.5, -1.0),
+    ])
+    def test_appendix_a_flow(self, no_work, a, b):
+        # a = inf used to run and write nan in every cell
+        with pytest.raises(ValueError, match="a and b"):
+            check_appendix_a(4, 1, a, b, 1.0)
+        with pytest.raises(ValueError, match="a and b"):
+            run_appendix_a(4, 1, a, b, 1.0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_appendix_a_seed(self, no_work, seed):
         with pytest.raises(ValueError, match="seed"):
@@ -418,6 +429,16 @@ class TestMakeAdvance:
         belief = GaussianBelief(np.zeros(3), np.eye(3))
         with pytest.raises(ValueError, match="t1"):
             make_advance(filter_id, model, 2)(belief, t1)
+
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+    def test_non_finite_belief_time_rejected(self, time):
+        with pytest.raises(ValueError, match="time"):
+            GaussianBelief(np.zeros(3), np.eye(3), time=time)
+        # the cubature update used to return an all-NaN mean stamped with
+        # the finite t1, and raise nothing
+        advance = make_advance("cdckf", oscillator_scenario().sde_model(), 2)
+        with pytest.raises(ValueError, match="time"):
+            advance(GaussianBelief(np.zeros(3), np.eye(3), time=time), 1.0)
 
     def test_nonpositive_m_rejected(self):
         model = oscillator_scenario().sde_model()

@@ -203,6 +203,8 @@ class TestConfigAndErrors:
         ["radar", "--jobs", "0"],
         ["radar", "--jobs", "-3"],
         ["radar", "--tol-abs", "inf"],
+        ["appendix-a", "--a", "inf"],
+        ["appendix-a", "--b", "inf"],
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

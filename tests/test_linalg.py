@@ -10,6 +10,7 @@ from cdfilter import (
     NotSymmetric,
     SingularFactor,
     cholesky_lower,
+    cubature_points,
     lyapunov_oracle,
     solve_lower_right,
     solve_transpose,
@@ -105,6 +106,49 @@ class TestTria:
         for A in cases:
             # to the bit, signed zeros included
             assert tria(A).tobytes() == reference(A).tobytes()
+
+
+class TestCubaturePoints:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(8)
+        tiny = np.nextafter(0.0, 1.0)    # the smallest subnormal
+        for d in range(1, 9):
+            for _ in range(50):
+                yield rng.standard_normal(d), rng.standard_normal((d, d))
+            # signed zeros and subnormals in the mean and in the factor
+            specials = np.array([0.0, -0.0, tiny, -tiny, 3.0 * tiny, -1e-310])
+            yield (rng.choice(specials, d),
+                   rng.choice(specials, (d, d)))
+            yield (rng.standard_normal(d),
+                   np.where(rng.random((d, d)) < 0.5, rng.choice(specials, (d, d)),
+                            rng.standard_normal((d, d))))
+
+    def test_equals_both_old_layouts(self):
+        # rows as the cubature time-update built them, columns as the
+        # measurement update did: to the bit, signed zeros included
+        for mean, M in self._cases():
+            d = mean.shape[0]
+            points, offsets = cubature_points(mean, M)
+            assert points.shape == offsets.shape == (2 * d, d)
+            spread = np.sqrt(d) * M.T
+            rows = np.concatenate([mean + spread, mean - spread])
+            assert points.tobytes() == rows.tobytes()
+            cols = np.sqrt(d) * np.concatenate([M, -M], axis=1)
+            assert np.ascontiguousarray(offsets.T).tobytes() == cols.tobytes()
+            col_points = mean[:, None] + cols
+            assert np.ascontiguousarray(points.T).tobytes() == col_points.tobytes()
+
+    def test_moments(self):
+        # equal weights 1/(2d) reproduce the mean and M M^T exactly in
+        # exact arithmetic
+        rng = np.random.default_rng(9)
+        for d in range(1, 9):
+            mean, M = rng.standard_normal(d), rng.standard_normal((d, d))
+            points, offsets = cubature_points(mean, M)
+            np.testing.assert_allclose(points.mean(axis=0), mean, atol=1e-14)
+            np.testing.assert_allclose(offsets.T @ offsets / (2 * d), M @ M.T,
+                                       atol=1e-13)
 
 
 class TestSolveTranspose:

@@ -102,6 +102,18 @@ class TestRadarScenario:
         with pytest.raises(ValueError):
             RadarScenario(interval=130.0, horizon=120.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma1", math.nan), ("sigma1", -0.1), ("sigma2", math.inf),
+        ("sigma_r", math.inf), ("sigma_r", -1.0), ("sigma_angle_deg", math.nan),
+        ("horizon", math.inf), ("omega0_deg", math.nan),
+    ])
+    def test_non_finite_or_negative_setting_rejected(self, field, value):
+        # at the parent sigma1 = nan gave NaN truth states, sigma_r = inf and
+        # sigma_angle_deg = nan non-finite measurements, and horizon = inf an
+        # OverflowError in measurement_times
+        with pytest.raises(ValueError, match=field):
+            RadarScenario(em_substeps=10, **{field: value})
+
     def test_measurement_model_wraps_angles_only(self):
         mm = RadarScenario().measurement_model()
         np.testing.assert_array_equal(mm.residual_wrap, [False, True, True])
@@ -330,8 +342,9 @@ class TestTransport:
         assert sc.l2_error(np.zeros(2), sc.sigma0(), 1.0) > 1e-3
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            TransportScenario(-1.0, 1.0)
+        for a, b in [(-1.0, 1.0), (math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                TransportScenario(a, b)
 
     def test_model_is_noise_free(self):
         model = TransportScenario(0.5, 1.0).sde_model()
