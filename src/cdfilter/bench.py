@@ -156,49 +156,40 @@ def check_filters(filter_ids, m_values, variant: str = "averaged"):
             make_advance(f, model, m, variant)
 
 
-def _filter_loop(advance, mm, traj, belief, threshold):
-    """Alternating time-update / measurement-update over one trajectory.
-
-    Returns per-measurement squared errors; raises CdFilterError on
-    numerical failure (recorded as divergence by the caller).
-    """
-    n = len(traj.times)
-    sq_pos = np.zeros(n)
-    sq_vel = np.zeros(n)
-    sq_turn = np.zeros(n)
-    b = belief
-    for k, t_k in enumerate(traj.times):
-        b = advance(b, t_k)
-        b, _ = measurement_update(b, mm, traj.measurements[k])
-        err = b.mean - traj.truth_states[k]
-        if not np.all(np.isfinite(b.mean)) or not np.all(np.isfinite(b.factor)):
-            return sq_pos, sq_vel, sq_turn, True
-        sq_pos[k] = sum(err[i] ** 2 for i in _POS)
-        sq_vel[k] = sum(err[i] ** 2 for i in _VEL)
-        sq_turn[k] = err[6] ** 2
-        if np.sqrt(sq_pos[k]) > threshold:
-            return sq_pos, sq_vel, sq_turn, True
-    return sq_pos, sq_vel, sq_turn, False
-
-
-def run_trial(config: BenchConfig, filter_id: str, m: int, omega_deg: float,
-              interval: float, trial) -> TrialMetrics:
-    """One trial of one filter on one grid cell; ``trial`` is the
-    ``make_trial`` output ``(Trajectory, initial_belief)``."""
-    scenario = config.scenario(omega_deg, interval)
-    traj, belief = trial
+def run_trial(config: BenchConfig, filter_id: str, m: int,
+              scenario: RadarScenario, trial) -> TrialMetrics:
+    """One trial of one filter on ``scenario``: alternate the time-update
+    and the measurement update over ``trial``, the ``make_trial`` output
+    ``(Trajectory, initial_belief)``, and record the squared errors.  A
+    non-finite belief, a position error above ``DIVERGENCE_THRESHOLD`` or
+    a ``CdFilterError`` (which zeroes every error) makes it divergent."""
+    traj, b = trial
     model, counter = _counting_model(scenario.sde_model())
     advance = make_advance(filter_id, model, m, config.variant,
                            config.abs_tol, config.rel_tol)
     mm = scenario.measurement_model()
+    n = len(traj.times)
+    sq_pos = np.zeros(n)
+    sq_vel = np.zeros(n)
+    sq_turn = np.zeros(n)
+    divergent = True            # unless the loop runs to its end
     t0 = time.perf_counter()
     try:
-        sq_pos, sq_vel, sq_turn, divergent = _filter_loop(
-            advance, mm, traj, belief, DIVERGENCE_THRESHOLD)
+        for k, t_k in enumerate(traj.times):
+            b = advance(b, t_k)
+            b, _ = measurement_update(b, mm, traj.measurements[k])
+            err = b.mean - traj.truth_states[k]
+            if not np.all(np.isfinite(b.mean)) or not np.all(np.isfinite(b.factor)):
+                break
+            sq_pos[k] = sum(err[i] ** 2 for i in _POS)
+            sq_vel[k] = sum(err[i] ** 2 for i in _VEL)
+            sq_turn[k] = err[6] ** 2
+            if np.sqrt(sq_pos[k]) > DIVERGENCE_THRESHOLD:
+                break
+        else:
+            divergent = False
     except CdFilterError:
-        n = len(traj.times)
         sq_pos = sq_vel = sq_turn = np.zeros(n)
-        divergent = True
     wall = time.perf_counter() - t0
     return TrialMetrics(sq_pos=sq_pos, sq_vel=sq_vel, sq_turn=sq_turn,
                         divergent=divergent, wall_s=wall,
@@ -225,8 +216,9 @@ def _trial_worker(args):
     ``base_seed + i``, then run every (filter, m) on it; one metrics entry
     per (filter, m)."""
     config, omega, interval, cells, i = args
-    trial = make_trial(config.scenario(omega, interval), config.base_seed + i)
-    return [run_trial(config, f, m, omega, interval, trial) for (f, m) in cells]
+    scenario = config.scenario(omega, interval)
+    trial = make_trial(scenario, config.base_seed + i)
+    return [run_trial(config, f, m, scenario, trial) for (f, m) in cells]
 
 
 def run_grid(config: BenchConfig, jobs: int = 1) -> list:
@@ -328,14 +320,14 @@ def run_appendix_a(factorizations: int, seed: int, a: float, b: float,
     model = ts.sde_model()
     base_factor = cholesky_lower(ts.sigma0())
     rng = np.random.default_rng(seed)
-    spec = SolverSpec("fixed-rk4", steps=32)
+    advances = {v: make_advance("lskf-rk4", model, 32, v) for v in VARIANTS}
     errors = {v: [] for v in VARIANTS}
     covs = {v: [] for v in VARIANTS}
     for _ in range(factorizations):
         q, _r = np.linalg.qr(rng.standard_normal((2, 2)))
         belief0 = GaussianBelief(mean=np.zeros(2), factor=base_factor @ q)
         for v in VARIANTS:
-            b1 = lskf_time_update(belief0, model, v, t_end, spec)
+            b1 = advances[v](belief0, t_end)
             errors[v].append(ts.l2_error(b1.mean, b1.covariance(), t_end))
             covs[v].append(b1.covariance())
     return [{

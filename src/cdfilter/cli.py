@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -104,17 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--out", default="out")
 
     radar = sub.add_parser("radar", help="Monte-Carlo radar tracking grid")
-    radar.add_argument("--omega-deg", type=_floats, default=(6.0, 12.0, 24.0))
-    radar.add_argument("--interval-s", type=_floats,
-                       default=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))
-    radar.add_argument("--m", type=_ints, default=(1,))
-    radar.add_argument("--filters", type=_ids, default=("lskf-adaptive", "cdckf"))
-    radar.add_argument("--trials", type=int, default=100)
-    radar.add_argument("--seed", type=int, default=20210001)
-    radar.add_argument("--variant", choices=VARIANTS, default="averaged")
-    radar.add_argument("--tol-abs", type=float, default=1e-8)
-    radar.add_argument("--tol-rel", type=float, default=1e-8)
-    radar.add_argument("--sigma2", type=float, default=7e-4)
+    # BenchConfig's field defaults, read without building a config
+    default = {f.name: f.default for f in dataclasses.fields(BenchConfig)}
+    radar.add_argument("--omega-deg", type=_floats, default=default["omega_deg"])
+    radar.add_argument("--interval-s", type=_floats, default=default["intervals"])
+    radar.add_argument("--m", type=_ints, default=default["m_values"])
+    radar.add_argument("--filters", type=_ids, default=default["filters"])
+    radar.add_argument("--trials", type=int, default=default["trials"])
+    radar.add_argument("--seed", type=int, default=default["base_seed"])
+    radar.add_argument("--variant", choices=VARIANTS, default=default["variant"])
+    radar.add_argument("--tol-abs", type=float, default=default["abs_tol"])
+    radar.add_argument("--tol-rel", type=float, default=default["rel_tol"])
+    radar.add_argument("--sigma2", type=float, default=default["sigma2"])
     radar.add_argument("--jobs", type=int, default=1)
     radar.add_argument("--out", default="out")
 

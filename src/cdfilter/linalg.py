@@ -26,12 +26,16 @@ def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If ``sigma`` has a non-finite entry.
     NotSymmetric
         If ``sigma`` deviates from symmetry by more than 1e-10 relative.
     NotPositiveSemiDefinite
         If a pivot falls below ``-1e-12 * ||sigma||``.
     """
     sigma = np.asarray(sigma, dtype=float)
+    if not np.all(np.isfinite(sigma)):
+        raise ValueError(f"matrix to factor has a non-finite entry:\n{sigma}")
     d = sigma.shape[0]
     norm = np.linalg.norm(sigma)
     if np.linalg.norm(sigma - sigma.T) > 1e-10 * max(norm, 1e-300):

@@ -108,12 +108,14 @@ class RadarScenario:
                              "be finite)")
         check_count("em_substeps", self.em_substeps, 1)
         noise = ("sigma1", "sigma2", "sigma_r", "sigma_angle_deg")
-        bad = [n for n in noise if not 0 <= getattr(self, n) < math.inf]
+        # the covariances square the noise levels
+        bad = [n for n in noise
+               if not ((v := getattr(self, n)) >= 0 and v * v < math.inf)]
         if not math.isfinite(self.omega0_deg):
             bad.append("omega0_deg")
         if bad:
             raise ValueError(f"bad {', '.join(bad)}: omega0_deg must be finite, "
-                             "and the noise levels finite and >= 0")
+                             "and the noise levels >= 0 with a finite square")
 
     @property
     def omega0(self) -> float:
@@ -236,6 +238,12 @@ def simulate_truth(scenario: RadarScenario, rng_seed: int) -> Trajectory:
         x[1], x[3], x[5], x[6] = vel[0, -1], vel[1, -1], x5[-1], w[-1]
         states[k] = x
         meas[k] = mm.h(x) + mm.noise_factor @ rng.standard_normal(3)
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(meas))):
+        raise ValueError(
+            f"truth simulation of seed {rng_seed} left the finite range under "
+            f"sigma1={scenario.sigma1:g}, sigma2={scenario.sigma2:g}, "
+            f"sigma_r={scenario.sigma_r:g}, "
+            f"sigma_angle_deg={scenario.sigma_angle_deg:g}")
     return Trajectory(times=times, truth_states=states, measurements=meas)
 
 
@@ -317,9 +325,11 @@ class TransportScenario:
     b: float
 
     def __post_init__(self):
-        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
-            raise ValueError(f"a and b must be finite and positive, got a={self.a}, "
-                             f"b={self.b}")
+        # sigma0 squares both
+        if not (self.a > 0 and self.b > 0 and self.a * self.a < math.inf
+                and self.b * self.b < math.inf):
+            raise ValueError("a and b must be positive with a finite square, "
+                             f"got a={self.a}, b={self.b}")
 
     def sde_model(self) -> SdeModel:
         def hess(x, t=0.0):

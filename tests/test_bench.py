@@ -11,7 +11,6 @@ from cdfilter.bench import (
     FILTER_IDS,
     BenchConfig,
     TrialMetrics,
-    _filter_loop,
     check_appendix_a,
     convergence_study,
     make_advance,
@@ -226,16 +225,16 @@ def _trial(cfg, i):
 class TestRunTrial:
     def test_deterministic(self):
         cfg = BenchConfig(trials=1, **_FAST)
-        a = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
-        b = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
+        a = run_trial(cfg, "cdckf", 2, cfg.scenario(6.0, 6.0), _trial(cfg, 0))
+        b = run_trial(cfg, "cdckf", 2, cfg.scenario(6.0, 6.0), _trial(cfg, 0))
         np.testing.assert_array_equal(a.sq_pos, b.sq_pos)
         assert a.divergent == b.divergent
-        c = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 1))
+        c = run_trial(cfg, "cdckf", 2, cfg.scenario(6.0, 6.0), _trial(cfg, 1))
         assert not np.array_equal(a.sq_pos, c.sq_pos)
 
     def test_reports_drift_eval_count(self):
         cfg = BenchConfig(trials=1, **_FAST)
-        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
+        t = run_trial(cfg, "cdckf", 2, cfg.scenario(6.0, 6.0), _trial(cfg, 0))
         # 20 intervals x 2 substeps x 14 cubature points x 2 drift calls
         assert t.drift_evals == 20 * 2 * 14 * 2
 
@@ -247,7 +246,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(bench, "make_advance", nan_advance)
         cfg = BenchConfig(trials=1, **_FAST)
-        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
+        t = run_trial(cfg, "cdckf", 2, cfg.scenario(6.0, 6.0), _trial(cfg, 0))
         assert t.divergent
 
     def test_noise_free_straight_line_tracks_exactly(self):
@@ -262,11 +261,9 @@ class TestRunTrial:
                            em_substeps=10)
         traj = simulate_truth(sc, 0)
         belief = GaussianBelief(sc.initial_state(), 1e-4 * np.eye(7))
-        advance = make_advance("lskf-adaptive", sc.sde_model(), 1)
-        sq_pos, _, _, divergent = _filter_loop(
-            advance, sc.measurement_model(), traj, belief, 500.0)
-        assert not divergent
-        assert np.sqrt(sq_pos.max()) <= 1e-3
+        t = run_trial(BenchConfig(), "lskf-adaptive", 1, sc, (traj, belief))
+        assert not t.divergent
+        assert np.sqrt(t.sq_pos.max()) <= 1e-3
 
 
 class TestRunGrid:
@@ -275,7 +272,7 @@ class TestRunGrid:
         rows = run_grid(cfg)
         assert len(rows) == 1
         row = rows[0]
-        t = run_trial(cfg, "cdckf", 2, 6.0, 6.0, _trial(cfg, 0))
+        t = run_trial(cfg, "cdckf", 2, cfg.scenario(6.0, 6.0), _trial(cfg, 0))
         np.testing.assert_allclose(row["rmse_pos_m"],
                                    np.sqrt(t.sq_pos.mean()), rtol=1e-12)
         assert row["divergent"] == int(t.divergent)

@@ -82,6 +82,23 @@ class TestRadarCommand:
         ra, rb = read_csv(a / "radar.csv")[0], read_csv(b / "radar.csv")[0]
         assert ra["rmse_pos_m"] != rb["rmse_pos_m"]
 
+    def test_defaults_are_bench_config_defaults(self, tmp_path, monkeypatch):
+        # every radar flag left out runs BenchConfig's own default
+        import cdfilter.cli as cli
+        from cdfilter.bench import BenchConfig
+
+        seen = []
+        monkeypatch.setattr(cli, "run_grid", lambda config, jobs: seen.append(config) or [])
+        monkeypatch.delenv("CDFILTER_SEED", raising=False)
+        assert _run(["radar", "--out", tmp_path]) == 0
+        assert seen == [BenchConfig()]
+
+    def test_truth_overflow_exits_2_by_name(self, tmp_path, capsys):
+        # sigma2 = 1e150 passes every parameter check; the truth simulation
+        # then leaves the float range and says so
+        assert _run(_RADAR_FAST + ["--sigma2", "1e150", "--out", tmp_path]) == 2
+        assert "truth simulation of seed 20210001" in capsys.readouterr().err
+
     def test_csv_round_trip_preserves_floats(self, tmp_path):
         from cdfilter.bench import BenchConfig, run_grid
         from cdfilter.cli import RADAR_CSV_COLUMNS, _write_csv
@@ -205,6 +222,9 @@ class TestConfigAndErrors:
         ["radar", "--tol-abs", "inf"],
         ["appendix-a", "--a", "inf"],
         ["appendix-a", "--b", "inf"],
+        ["appendix-a", "--a", "1e200"],
+        ["appendix-a", "--b", "1e200"],
+        ["radar", "--sigma2", "1e300"],
     ])
     def test_bad_grid_value_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

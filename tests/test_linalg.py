@@ -35,6 +35,19 @@ class TestCholeskyLower:
         with pytest.raises(NotSymmetric):
             cholesky_lower([[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        # a NaN diagonal used to return a NaN factor silently, and an inf
+        # entry an inf factor after a RuntimeWarning
+        sigma = np.eye(3)
+        sigma[1, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            cholesky_lower(sigma)
+        K = np.eye(2)
+        K[0, 0] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearSystem(J=np.zeros((2, 2)), K=K).as_sde()
+
     def test_not_psd(self):
         with pytest.raises(NotPositiveSemiDefinite):
             cholesky_lower([[1.0, 0.0], [0.0, -1.0]])

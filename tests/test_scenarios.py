@@ -106,6 +106,9 @@ class TestRadarScenario:
         ("sigma1", math.nan), ("sigma1", -0.1), ("sigma2", math.inf),
         ("sigma_r", math.inf), ("sigma_r", -1.0), ("sigma_angle_deg", math.nan),
         ("horizon", math.inf), ("omega0_deg", math.nan),
+        # finite, but the covariances square them past the float range
+        ("sigma1", 1e200), ("sigma2", 1e300), ("sigma_r", 1e155),
+        ("sigma_angle_deg", 1e300),
     ])
     def test_non_finite_or_negative_setting_rejected(self, field, value):
         # at the parent sigma1 = nan gave NaN truth states, sigma_r = inf and
@@ -122,6 +125,16 @@ class TestRadarScenario:
 
 
 class TestTruthSimulation:
+    def test_non_finite_truth_fails_by_name(self):
+        # sigma2 = 1e150 has a finite K, but the turn rate's random walk
+        # overflows the positions; the error names the simulation, the seed
+        # and the noise levels rather than a NaN measurement downstream
+        sc = RadarScenario(sigma2=1e150, em_substeps=10)
+        with pytest.raises(ValueError, match=r"truth simulation of seed 7 .*sigma2=1e\+150"):
+            simulate_truth(sc, 7)
+        with pytest.raises(ValueError, match="truth simulation"):
+            make_trial(sc, 7)
+
     def test_deterministic_given_seed(self):
         sc = RadarScenario(em_substeps=100)
         a = simulate_truth(sc, 42)
@@ -342,7 +355,8 @@ class TestTransport:
         assert sc.l2_error(np.zeros(2), sc.sigma0(), 1.0) > 1e-3
 
     def test_parameter_validation(self):
-        for a, b in [(-1.0, 1.0), (math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0)]:
+        for a, b in [(-1.0, 1.0), (math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0),
+                     (1e200, 1.0), (0.5, 1e200)]:
             with pytest.raises(ValueError):
                 TransportScenario(a, b)
 
